@@ -80,7 +80,8 @@ def main() -> None:
     # 9. Anticipating a query mix?  `warm` precomputes the r-skyband
     #    pre-filter (the expensive per-(k, region) intermediate) up front,
     #    and `query_batch` answers many queries in one call — serially by
-    #    default, or fanned out with executor="thread" / "process".
+    #    default (sharing the caches), or over worker processes with
+    #    executor="process".
     wider = PreferenceRegion.hyperrectangle(
         [(0.28, 0.38), (0.20, 0.30), (0.16, 0.26)]
     )

@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.placement import cheapest_new_option
+from repro.core.sharded import solve_toprr_sharded
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_synthetic
 from repro.engine import ShardedEngine, TopRREngine
@@ -135,10 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--executor",
         default="serial",
-        help="serial | thread | process (default: serial); fans out across queries, "
-        "but the solve is CPU-bound Python, so 'thread' mostly overlaps cache "
-        "lookups rather than scaling it — for CPU-bound scaling on one large "
-        "catalogue use --shards, which parallelises inside each query",
+        help="serial | process (default: serial); 'process' fans distinct queries "
+        "out over worker processes without shared caches — for CPU-bound scaling "
+        "on one large catalogue use --shards, which parallelises inside each query",
     )
     batch.add_argument(
         "--shards",
@@ -301,18 +301,21 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_solve(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
     region = random_hypercube_region(args.d, args.sigma, rng=args.seed + 1)
-    result = solve_toprr(
-        dataset,
-        args.k,
-        region,
-        method=args.method,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        shard_executor=args.shard_executor,
-        shard_timeout=args.shard_timeout,
-        shard_retries=args.shard_retries,
-        shard_fallback=not args.no_fallback,
-    )
+    if args.shards is None:
+        result = solve_toprr(dataset, args.k, region, method=args.method)
+    else:
+        result = solve_toprr_sharded(
+            dataset,
+            args.k,
+            region,
+            n_shards=args.shards,
+            strategy=args.shard_strategy,
+            executor=args.shard_executor,
+            method=args.method,
+            shard_timeout=args.shard_timeout,
+            shard_retries=args.shard_retries,
+            shard_fallback=not args.no_fallback,
+        )
     print(format_table([result.summary()], title="TopRR result"))
     if args.shards:
         print(

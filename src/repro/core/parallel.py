@@ -1,4 +1,4 @@
-"""Parallel TopRR solving (the paper's "explore parallelism" future work).
+"""Region-parallel TAS* (the paper's "explore parallelism" future work).
 
 Theorem 1 only needs the vertex set of *some* partitioning of ``wR`` into
 kIPRs — it does not care how that partitioning was obtained.  This makes the
@@ -8,38 +8,39 @@ accumulated vertex sets, and intersect the impact halfspaces once at the end.
 The result is identical to the sequential answer (the chop boundaries simply
 become extra, redundant vertices in ``V_all``).
 
-:func:`solve_toprr_parallel` implements that scheme on top of
-``concurrent.futures``.  Because the per-piece work is dominated by numpy and
-scipy/qhull calls that release the GIL only partially, true speed-ups need
-the (default) process executor; the thread and serial executors exist for
-environments where spawning processes is undesirable and for testing.
+:class:`RegionParallelSolver` is that scheme as a solver: its ``partition``
+chops the region, runs TAS* on every piece and merges the pieces' vertex
+sets, so :class:`~repro.engine.TopRREngine` runs it like any other solver —
+on the engine's (cached) r-skyband, followed by the engine's impact-region
+step.  :func:`solve_toprr_parallel` is the one-shot form: it hands the solver
+to :func:`~repro.core.toprr.solve_toprr`.  The per-piece work is CPU-bound
+Python, so speed-ups need the (default) process executor; the serial
+executor solves the pieces in-process and exists for testing and debugging.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.impact import build_impact_region
 from repro.core.kipr import WorkingSet
 from repro.core.scorecache import VertexScoreMemo
 from repro.core.stats import SolverStats
 from repro.core.tas_star import TASStarSolver
-from repro.core.toprr import TopRRResult
+from repro.core.toprr import TopRRResult, solve_toprr
 from repro.data.dataset import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.polytope import merge_vertex_sets
 from repro.preference.region import PreferenceRegion
-from repro.pruning.rskyband import r_skyband
-from repro.utils.timer import Timer
+from repro.utils.rng import RngLike
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
-#: Executor labels accepted by :func:`solve_toprr_parallel`.
-EXECUTORS = ("process", "thread", "serial")
+#: Executor labels accepted by :class:`RegionParallelSolver`.
+EXECUTORS = ("process", "serial")
 
 #: One warning per process about degenerate chops (tests reset this flag).
 _degenerate_split_warned = False
@@ -106,32 +107,118 @@ def _partition_piece(
     k: int,
     piece: PreferenceRegion,
     solver_kwargs: dict,
-    working: Optional[WorkingSet] = None,
+    working: WorkingSet,
     score_memo: Optional[VertexScoreMemo] = None,
-) -> Tuple[np.ndarray, dict]:
-    """Worker: run TAS* on one piece and return its vertex set and counters.
+) -> Tuple[np.ndarray, SolverStats]:
+    """Worker: run TAS* on one piece and return its vertex set and stats.
 
     Module-level so that it can be pickled by the process executor.
-    ``working`` is the prebuilt root working set (sliced affine form shared
-    by all pieces); ``score_memo`` a vertex-score memo bound to it.  The memo
-    holds a lock and cannot cross a process boundary, so process workers
-    receive ``None`` and let the solver resolve a worker-local one.
+    ``working`` is the root working set shared by all pieces; ``score_memo``
+    a vertex-score memo bound to it.  The memo holds a lock and cannot cross
+    a process boundary, so process workers receive ``None`` and let the
+    solver resolve a worker-local one.
     """
-    solver = TASStarSolver(**solver_kwargs)
     stats = SolverStats()
-    vertices = solver.partition(
+    vertices = TASStarSolver(**solver_kwargs).partition(
         filtered, k, piece, stats=stats, working=working, score_memo=score_memo
     )
-    return vertices, {
-        "n_regions_tested": stats.n_regions_tested,
-        "n_splits": stats.n_splits,
-        "n_vertices": stats.n_vertices,
-        "n_score_rows_computed": stats.n_score_rows_computed,
-        "n_score_rows_reused": stats.n_score_rows_reused,
-        "n_score_batches": stats.n_score_batches,
-        "n_order_rows_computed": stats.n_order_rows_computed,
-        "n_order_rows_reused": stats.n_order_rows_reused,
-    }
+    return vertices, stats
+
+
+class RegionParallelSolver:
+    """TAS* over ``wR`` chopped into boxes, the pieces solved in parallel.
+
+    Follows the solver protocol (``partition(filtered, k, region, stats,
+    working, score_memo) -> V_all``), so it can be passed as ``method=`` to
+    :func:`~repro.core.toprr.solve_toprr` or
+    :meth:`~repro.engine.TopRREngine.query`.
+
+    Parameters
+    ----------
+    n_workers:
+        Process-pool size.
+    n_pieces:
+        Number of boxes ``wR`` is chopped into (defaults to ``2 * n_workers``
+        so that faster pieces can steal work from slower ones).
+    executor:
+        ``"process"`` (default, real parallelism) or ``"serial"`` (in-process
+        loop; useful for testing and debugging).
+    rng, tol:
+        As in :class:`~repro.core.tas_star.TASStarSolver`; every piece gets a
+        solver built from the same seed.
+    incremental:
+        Route each piece through the incremental split-tree vertex-score
+        memo, as the sequential solver does by default.  The serial executor
+        shares the caller's memo across pieces (a vertex on the boundary
+        between two pieces is scored once); process workers build their own
+        — the memo's lock cannot cross the process boundary — but still reuse
+        rows along their piece's split tree.
+    """
+
+    def __init__(
+        self,
+        n_workers: int = 4,
+        n_pieces: Optional[int] = None,
+        executor: str = "process",
+        rng: RngLike = 0,
+        tol: Tolerance = DEFAULT_TOL,
+        incremental: bool = True,
+    ):
+        if n_workers <= 0:
+            raise InvalidParameterError(f"n_workers must be positive, got {n_workers}")
+        if executor not in EXECUTORS:
+            raise InvalidParameterError(
+                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
+            )
+        self.n_workers = int(n_workers)
+        self.n_pieces = int(n_pieces or 2 * n_workers)
+        self.executor = executor
+        self.tol = tol
+        self._solver_kwargs = {"rng": rng, "tol": tol, "incremental": incremental}
+        self.name = f"TAS* (parallel x{self.n_pieces} pieces, {executor})"
+
+    def partition(
+        self,
+        filtered: Dataset,
+        k: int,
+        region: PreferenceRegion,
+        stats: Optional[SolverStats] = None,
+        working: Optional[WorkingSet] = None,
+        score_memo: Optional[VertexScoreMemo] = None,
+    ) -> np.ndarray:
+        """Chop ``region``, run TAS* on every piece and merge their ``V_all``.
+
+        The pieces' counters are summed into ``stats``; the piece counts,
+        worker count and executor land in ``stats.extra``.
+        """
+        stats = stats if stats is not None else SolverStats()
+        working = working if working is not None else WorkingSet.from_dataset(filtered, k)
+        pieces = split_region_into_boxes(region, self.n_pieces)
+        if self.executor == "serial" or len(pieces) == 1:
+            outputs = [
+                _partition_piece(filtered, k, piece, self._solver_kwargs, working, score_memo)
+                for piece in pieces
+            ]
+        else:
+            with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
+                futures = [
+                    pool.submit(_partition_piece, filtered, k, piece, self._solver_kwargs, working)
+                    for piece in pieces
+                ]
+                outputs = [future.result() for future in futures]
+
+        vall = merge_vertex_sets([vertices for vertices, _stats in outputs], tol=self.tol)
+        for _vertices, piece_stats in outputs:
+            stats.add(piece_stats)
+        # Per-root quantities do not add up across pieces.
+        stats.n_vertices = int(vall.shape[0])
+        stats.n_after_lemma5 = max(piece_stats.n_after_lemma5 for _v, piece_stats in outputs)
+        stats.k_effective = max(piece_stats.k_effective for _v, piece_stats in outputs)
+        stats.extra["n_pieces"] = len(pieces)
+        stats.extra["n_pieces_requested"] = self.n_pieces
+        stats.extra["n_workers"] = self.n_workers
+        stats.extra["executor"] = self.executor
+        return vall
 
 
 def solve_toprr_parallel(
@@ -149,116 +236,26 @@ def solve_toprr_parallel(
 ) -> TopRRResult:
     """Solve a TopRR instance by partitioning ``wR`` across parallel workers.
 
-    Parameters
-    ----------
-    dataset, k, region:
-        The TopRR instance.
-    n_workers:
-        Number of worker processes/threads.
-    n_pieces:
-        Number of boxes ``wR`` is chopped into (defaults to ``2 * n_workers``
-        so that faster pieces can steal work from slower ones).
-    executor:
-        ``"process"`` (default, real parallelism), ``"thread"``, or
-        ``"serial"`` (in-process loop; useful for testing and debugging).
-    prefilter, clip_to_unit_box, rng, tol:
-        As in :func:`repro.core.toprr.solve_toprr`.
-    incremental:
-        Route each piece through the incremental split-tree vertex-score
-        memo, as the sequential solver does by default.  The root working
-        set is built once and shared by all pieces; the serial and thread
-        executors additionally share one memo across pieces (it is
-        thread-safe), so a vertex on the boundary between two pieces is
-        scored once.  Process workers build their own memo — the memo's
-        lock cannot cross the process boundary — but still reuse rows along
-        their piece's split tree.  The score/order counters of
-        :class:`~repro.core.stats.SolverStats` are aggregated over pieces.
+    ``n_workers``, ``n_pieces``, ``executor`` and ``incremental`` configure
+    the :class:`RegionParallelSolver`; ``prefilter``, ``clip_to_unit_box``,
+    ``rng`` and ``tol`` are as in :func:`repro.core.toprr.solve_toprr`, which
+    runs the rest of the pipeline.
     """
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if n_workers <= 0:
-        raise InvalidParameterError(f"n_workers must be positive, got {n_workers}")
-    if executor not in EXECUTORS:
-        raise InvalidParameterError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    if region.n_attributes != dataset.n_attributes:
-        raise InvalidParameterError("region and dataset disagree on the number of attributes")
-
-    stats = SolverStats()
-    stats.n_input_options = dataset.n_options
-    timer = Timer().start()
-
-    if prefilter:
-        kept = r_skyband(dataset, k, region, tol=tol)
-        filtered = dataset.subset(kept, name=f"{dataset.name}[r-skyband]")
-    else:
-        filtered = dataset
-    stats.n_filtered_options = filtered.n_options
-
-    n_pieces_requested = n_pieces or 2 * n_workers
-    pieces = split_region_into_boxes(region, n_pieces_requested)
-    solver_kwargs = {"rng": rng, "tol": tol, "incremental": incremental}
-
-    # One root working set for all pieces: the affine score form is computed
-    # once here instead of once per piece (and once per worker under the
-    # process executor — WorkingSet is plain arrays, so it pickles cleanly).
-    root_working = WorkingSet.from_dataset(filtered, k)
-    shared_memo = VertexScoreMemo.for_working(root_working) if incremental else None
-
-    piece_outputs: List[Tuple[np.ndarray, dict]] = []
-    if executor == "serial" or len(pieces) == 1:
-        for piece in pieces:
-            piece_outputs.append(
-                _partition_piece(filtered, k, piece, solver_kwargs, root_working, shared_memo)
-            )
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(
-                    _partition_piece, filtered, k, piece, solver_kwargs, root_working, shared_memo
-                )
-                for piece in pieces
-            ]
-            piece_outputs = [future.result() for future in futures]
-    else:
-        # The memo embeds a lock and stays home; workers resolve their own.
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_partition_piece, filtered, k, piece, solver_kwargs, root_working)
-                for piece in pieces
-            ]
-            piece_outputs = [future.result() for future in futures]
-
-    vertex_sets = [vertices for vertices, _counters in piece_outputs]
-    vall = merge_vertex_sets(vertex_sets, tol=tol)
-    for _vertices, counters in piece_outputs:
-        stats.n_regions_tested += counters["n_regions_tested"]
-        stats.n_splits += counters["n_splits"]
-        stats.n_score_rows_computed += counters["n_score_rows_computed"]
-        stats.n_score_rows_reused += counters["n_score_rows_reused"]
-        stats.n_score_batches += counters["n_score_batches"]
-        stats.n_order_rows_computed += counters["n_order_rows_computed"]
-        stats.n_order_rows_reused += counters["n_order_rows_reused"]
-
-    polytope, full_weights, thresholds = build_impact_region(
-        filtered, vall, k, clip_to_unit_box=clip_to_unit_box, tol=tol
+    solver = RegionParallelSolver(
+        n_workers=n_workers,
+        n_pieces=n_pieces,
+        executor=executor,
+        rng=rng,
+        tol=tol,
+        incremental=incremental,
     )
-    stats.seconds = timer.stop()
-    stats.n_vertices = int(vall.shape[0])
-    stats.extra["n_pieces"] = len(pieces)
-    stats.extra["n_pieces_requested"] = int(n_pieces_requested)
-    stats.extra["n_workers"] = int(n_workers)
-    stats.extra["executor"] = executor
-
-    return TopRRResult(
-        dataset=dataset,
-        filtered=filtered,
-        k=k,
-        region=region,
-        vertices_reduced=vall,
-        full_weights=full_weights,
-        thresholds=thresholds,
-        polytope=polytope,
-        stats=stats,
-        method=f"TAS* (parallel x{len(pieces)} pieces, {executor})",
+    return solve_toprr(
+        dataset,
+        k,
+        region,
+        method=solver,
+        prefilter=prefilter,
+        clip_to_unit_box=clip_to_unit_box,
+        rng=rng,
         tol=tol,
     )

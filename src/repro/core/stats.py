@@ -97,18 +97,6 @@ class SolverStats:
         True when at least one shard of this query fell back to serial
         in-process execution — the result is still exact; the flag marks
         that the parallel path was unhealthy.
-    n_entries_survived:
-        Cached entries (r-skyband entries and result-LRU entries) the last
-        :meth:`~repro.engine.engine.TopRREngine.apply_delta` call on the
-        owning engine kept alive because the mutation provably could not
-        change them (``0`` when the engine never saw a mutation).
-    n_entries_evicted:
-        Cached entries the last ``apply_delta`` call dropped because a
-        deleted option sat in the entry's r-skyband or an inserted option
-        could enter it.
-    n_dominance_tests:
-        Inserted-option admission tests (one per inserted option per
-        examined cache entry) the last ``apply_delta`` call performed.
     merge_seconds:
         Wall-clock time of the cross-shard top-k reconciliation (merging
         per-shard candidates back into the exact global r-skyband); ``0``
@@ -144,9 +132,6 @@ class SolverStats:
     n_worker_crashes: int = 0
     n_pool_rebuilds: int = 0
     n_degraded_shards: int = 0
-    n_entries_survived: int = 0
-    n_entries_evicted: int = 0
-    n_dominance_tests: int = 0
     degraded: bool = False
     merge_seconds: float = 0.0
     seconds: float = 0.0
@@ -162,43 +147,25 @@ class SolverStats:
         return self.n_score_rows_reused / total if total else 0.0
 
     def as_dict(self) -> dict:
-        """Plain-dict view used by the experiment reports."""
-        data = {
-            "n_input_options": self.n_input_options,
-            "n_filtered_options": self.n_filtered_options,
-            "n_after_lemma5": self.n_after_lemma5,
-            "k_effective": self.k_effective,
-            "n_regions_tested": self.n_regions_tested,
-            "n_kipr_regions": self.n_kipr_regions,
-            "n_lemma7_regions": self.n_lemma7_regions,
-            "n_splits": self.n_splits,
-            "n_fallback_splits": self.n_fallback_splits,
-            "n_lemma5_reductions": self.n_lemma5_reductions,
-            "n_vertices": self.n_vertices,
-            "n_score_rows_computed": self.n_score_rows_computed,
-            "n_score_rows_reused": self.n_score_rows_reused,
-            "n_score_batches": self.n_score_batches,
-            "n_order_rows_computed": self.n_order_rows_computed,
-            "n_order_rows_reused": self.n_order_rows_reused,
-            "n_lp_calls": self.n_lp_calls,
-            "n_qhull_calls": self.n_qhull_calls,
-            "n_clip_calls": self.n_clip_calls,
-            "n_shards": self.n_shards,
-            "n_backend_fallbacks": self.n_backend_fallbacks,
-            "n_retries": self.n_retries,
-            "n_worker_crashes": self.n_worker_crashes,
-            "n_pool_rebuilds": self.n_pool_rebuilds,
-            "n_degraded_shards": self.n_degraded_shards,
-            "n_entries_survived": self.n_entries_survived,
-            "n_entries_evicted": self.n_entries_evicted,
-            "n_dominance_tests": self.n_dominance_tests,
-            "degraded": self.degraded,
-            "merge_seconds": self.merge_seconds,
-            "vertex_cache_hit_rate": self.vertex_cache_hit_rate,
-            "seconds": self.seconds,
-        }
+        """Plain-dict view used by the experiment reports: every field, the
+        derived ``vertex_cache_hit_rate``, and the :attr:`extra` keys merged in."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        data["vertex_cache_hit_rate"] = self.vertex_cache_hit_rate
         data.update(self.extra)
         return data
+
+    def add(self, other: "SolverStats") -> None:
+        """Accumulate ``other``'s counters into this one, field by field.
+
+        Numeric fields are summed and ``degraded`` is or-ed; :attr:`extra`
+        is left alone.  Used to total the per-piece stats of a region-parallel
+        solve.
+        """
+        for f in fields(self):
+            if f.name == "extra":
+                continue
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, (mine or theirs) if isinstance(mine, bool) else mine + theirs)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SolverStats":

@@ -177,13 +177,6 @@ def solve_toprr(
     option_bounds: Optional[tuple] = None,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
-    shards: Optional[int] = None,
-    shard_strategy: str = "contiguous",
-    shard_executor: str = "process",
-    n_workers: Optional[int] = None,
-    shard_timeout: Optional[float] = None,
-    shard_retries: int = 2,
-    shard_fallback: bool = True,
 ) -> TopRRResult:
     """Solve a TopRR instance end to end.
 
@@ -211,33 +204,6 @@ def solve_toprr(
         Seed or generator for the solver's randomised choices.
     tol:
         Numerical tolerance bundle.
-    shards:
-        When set (``>= 1``), run the option-space sharded pre-filter of
-        :func:`repro.core.sharded.solve_toprr_sharded` over this many
-        disjoint option partitions — the result is bit-identical, only the
-        filter stage parallelises.  Requires ``prefilter=True`` (sharding
-        *is* the filter stage).
-    shard_strategy:
-        Shard assignment (``"contiguous"`` or ``"hash"``); ignored without
-        ``shards``.
-    shard_executor:
-        ``"process"`` (shared-memory worker pool) or ``"serial"``; ignored
-        without ``shards``.
-    n_workers:
-        Process-pool size for ``shard_executor="process"``; ignored without
-        ``shards``.
-    shard_timeout:
-        Per-batch deadline (seconds) for pool shard tasks; a still-running
-        task past it counts as hung and is retried on a fresh pool.
-        ``None`` waits indefinitely.  Ignored without ``shards``.
-    shard_retries:
-        Pool re-submissions allowed per shard task after its first failure;
-        ignored without ``shards``.
-    shard_fallback:
-        Degrade unrecoverable shard tasks to serial in-process execution
-        (default; bit-identical results) instead of raising
-        :class:`~repro.exceptions.ShardExecutionError`.  Ignored without
-        ``shards``.
 
     Returns
     -------
@@ -248,34 +214,12 @@ def solve_toprr(
     Since the introduction of :class:`repro.engine.TopRREngine` this function
     is a convenience wrapper around a one-shot engine with caching disabled;
     sessions that issue several queries against the same dataset should hold
-    an engine instead (bind once, query many).
+    an engine instead (bind once, query many).  The parallel front ends build
+    on the same engine: :func:`repro.core.sharded.solve_toprr_sharded` shards
+    the pre-filter over the options, and
+    :func:`repro.core.parallel.solve_toprr_parallel` passes a region-parallel
+    solver as ``method``.
     """
-    if shards is not None:
-        if not prefilter:
-            raise InvalidParameterError(
-                "shards requires prefilter=True: sharding parallelises the r-skyband "
-                "pre-filter, so there is no sharded variant of the unfiltered solve"
-            )
-        from repro.core.sharded import solve_toprr_sharded  # local import: builds on this module
-
-        return solve_toprr_sharded(
-            dataset,
-            k,
-            region,
-            n_shards=int(shards),
-            strategy=shard_strategy,
-            executor=shard_executor,
-            n_workers=n_workers,
-            method=method,
-            clip_to_unit_box=clip_to_unit_box,
-            option_bounds=option_bounds,
-            rng=rng,
-            tol=tol,
-            shard_timeout=shard_timeout,
-            shard_retries=shard_retries,
-            shard_fallback=shard_fallback,
-        )
-
     from repro.engine.engine import TopRREngine  # local import: engine builds on this module
 
     engine = TopRREngine(

@@ -14,7 +14,7 @@ depend only on the dataset (or on the ``(k, region)`` pair, not the call):
 affine form is computed lazily once and sliced per query, r-skyband results
 and complete answers are kept in bounded LRU caches keyed by
 ``(k, region fingerprint)``.  ``query_batch`` runs many queries through one
-engine (serially, via threads, or via worker processes), and ``warm``
+engine (serially or via worker processes), and ``warm``
 precomputes the filter for an anticipated query mix.
 
 **Cache-key semantics.**  A region is keyed by its *fingerprint*
@@ -42,13 +42,12 @@ of the cache behaviour lives in ``examples/quickstart.py``.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base_solver import BaseTestAndSplit
 from repro.core.kipr import WorkingSet
 from repro.core.impact import build_impact_region
 from repro.core.mutation import (
@@ -57,7 +56,6 @@ from repro.core.mutation import (
     entry_survival,
     position_column_map,
 )
-from repro.core.pac import PACSolver
 from repro.core.scorecache import VertexScoreMemo
 from repro.core.stats import SolverStats
 from repro.core.toprr import SolverLike, TopRRResult, make_solver
@@ -73,7 +71,7 @@ from repro.utils.timer import Timer
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 #: Executor labels accepted by :meth:`TopRREngine.query_batch`.
-BATCH_EXECUTORS = ("serial", "thread", "process")
+BATCH_EXECUTORS = ("serial", "process")
 
 #: One query of a batch: ``(k, region)``.
 QuerySpec = Tuple[int, PreferenceRegion]
@@ -319,10 +317,14 @@ class TopRREngine:
 
         Identical in contract to :func:`repro.core.toprr.solve_toprr`; when
         the same ``(k, region, method)`` was answered recently, the cached
-        :class:`TopRRResult` object is returned as-is.
+        :class:`TopRRResult` object is returned as-is.  ``method`` may also
+        be any solver object with the ``partition(filtered, k, region,
+        stats, working, score_memo)`` protocol — e.g. a
+        :class:`~repro.core.parallel.RegionParallelSolver` runs
+        region-parallel TAS* on this engine's cached r-skyband.
         """
         self._validate(k, region)
-        with self._counter_lock:  # query() is also called from thread-pool batches
+        with self._counter_lock:  # the HTTP server calls query() from worker threads
             self.n_queries += 1
         method = self.method if method is None else method
 
@@ -341,12 +343,7 @@ class TopRREngine:
         filtered, working, memo, skyband_hit = self.prefiltered(k, region)
         stats.n_filtered_options = filtered.n_options
 
-        if isinstance(solver, (BaseTestAndSplit, PACSolver)):
-            vall = solver.partition(
-                filtered, k, region, stats=stats, working=working, score_memo=memo
-            )
-        else:
-            vall = solver.partition(filtered, k, region, stats=stats, working=working)
+        vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
         polytope, full_weights, thresholds = build_impact_region(
             filtered,
             vall,
@@ -358,12 +355,6 @@ class TopRREngine:
         stats.seconds = timer.stop()
         stats.n_after_lemma5 = stats.n_after_lemma5 or filtered.n_options
         stats.extra["skyband_cache_hit"] = bool(skyband_hit)
-        with self._counter_lock:
-            last_report = self._last_mutation_report
-        if last_report is not None:
-            stats.n_entries_survived = last_report.n_entries_survived
-            stats.n_entries_evicted = last_report.n_entries_evicted
-            stats.n_dominance_tests = last_report.n_dominance_tests
 
         result = TopRRResult(
             dataset=self.dataset,
@@ -398,23 +389,15 @@ class TopRREngine:
             Iterable of ``(k, region)`` pairs.
         executor:
             ``"serial"`` (default) runs in-process and shares all caches;
-            ``"thread"`` fans out over a thread pool (caches are shared and
-            thread-safe, but the solve hot path is CPU-bound Python since
-            the closed-form geometry backends replaced the GIL-releasing
-            LP/qhull calls, so threads mostly overlap cache lookups — do not
-            expect them to scale the solve itself; note also that identical
-            queries running *concurrently* each solve before the first
-            populates the cache, so repeats only hit once the earlier
-            answer has landed);
-            ``"process"`` uses worker processes as
-            :mod:`repro.core.parallel` does — fully parallel but without
+            ``"process"`` uses worker processes — fully parallel but without
             shared caches, appropriate for batches of mostly-distinct heavy
-            queries.  For CPU-bound scaling on one large catalogue, prefer
-            option-space sharding
+            queries.  (A thread executor is not offered: the solve is
+            CPU-bound Python, so threads cannot scale it.)  For CPU-bound
+            scaling on one large catalogue, prefer option-space sharding
             (:class:`repro.engine.sharded.ShardedEngine`, CLI ``--shards``),
             which parallelises inside each query instead of across queries.
         n_workers:
-            Pool size for the ``"thread"`` and ``"process"`` executors.
+            Pool size for the ``"process"`` executor.
         """
         specs: List[QuerySpec] = [(int(k), region) for k, region in queries]
         if executor not in BATCH_EXECUTORS:
@@ -426,13 +409,6 @@ class TopRREngine:
 
         if executor == "serial" or len(specs) <= 1:
             return [self.query(k, region, method=method, use_cache=use_cache) for k, region in specs]
-
-        if executor == "thread":
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [
-                    pool.submit(self.query, k, region, method, use_cache) for k, region in specs
-                ]
-                return [future.result() for future in futures]
 
         resolved = self.method if method is None else method
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -13,10 +13,11 @@ Every LP solve (:func:`repro.geometry.chebyshev.chebyshev_center`,
 intersection (:func:`repro.geometry.vertex_enum.enumerate_vertices`) and
 every clipping pass (:mod:`repro.geometry.polygon`,
 :mod:`repro.geometry.polyhedron`) increments the process-wide
-:data:`geometry_counters`.  The counters are ``threading.local``
-so that concurrent solves (e.g. :meth:`TopRREngine.query_batch` with the
-thread executor) each observe their own deltas; solvers snapshot the counters
-around their region loop and record the difference into ``SolverStats``.
+:data:`geometry_counters`.  The counters are ``threading.local`` so that
+concurrent solves (e.g. the HTTP server's thread pool running
+:meth:`TopRREngine.query`) each observe their own deltas; solvers snapshot
+the counters around their region loop and record the difference into
+``SolverStats``.
 """
 
 from __future__ import annotations

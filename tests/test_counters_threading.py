@@ -1,8 +1,8 @@
 """Thread-locality of the geometry counters.
 
 :data:`repro.geometry.counters.geometry_counters` is ``threading.local`` so
-that concurrent solves — :meth:`TopRREngine.query_batch` with the thread
-executor — each observe their own deltas.  These tests pin down the two
+that concurrent solves — the HTTP server runs :meth:`TopRREngine.query` on a
+thread pool — each observe their own deltas.  These tests pin down the two
 guarantees that depend on it:
 
 * counters incremented inside worker threads must **not** leak into the
@@ -13,6 +13,7 @@ guarantees that depend on it:
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -64,22 +65,21 @@ def _regions(d: int):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_query_batch_thread_counters_do_not_leak(d):
+def test_concurrent_query_counters_do_not_leak(d):
     dataset = generate_anticorrelated(300, d, rng=5)
 
     serial_engine = TopRREngine(dataset)
-    serial = serial_engine.query_batch(
-        [(4, region) for region in _regions(d)], executor="serial", use_cache=False
-    )
+    serial = [serial_engine.query(4, region, use_cache=False) for region in _regions(d)]
 
+    # One engine shared by a plain thread pool, the way ToprrServer runs solves.
     geometry_counters.reset()
     thread_engine = TopRREngine(dataset)
-    threaded = thread_engine.query_batch(
-        [(4, region) for region in _regions(d)],
-        executor="thread",
-        n_workers=4,
-        use_cache=False,
-    )
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [
+            pool.submit(thread_engine.query, 4, region, use_cache=False)
+            for region in _regions(d)
+        ]
+        threaded = [future.result() for future in futures]
 
     # The workers' geometry activity must not appear on the caller's thread.
     caller = geometry_counters.snapshot()

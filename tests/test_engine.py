@@ -1,7 +1,7 @@
 """Tests for the session-scoped :class:`repro.engine.TopRREngine`.
 
 Covers: result parity with sequential :func:`solve_toprr`, cache hits and
-LRU eviction, batch execution (serial and threaded), cache warming, the
+LRU eviction, batch execution (serial and process), cache warming, the
 engine-aware sampled baseline, and the CLI ``batch`` command.
 """
 
@@ -118,6 +118,18 @@ class TestMutationCountersFromConstruction:
         for key in ("n_mutation_deltas", "n_entries_survived", "n_entries_evicted"):
             assert stats.get(key, 0) == 0
 
+    def test_mutation_report_stays_off_later_solves(self, catalogue, regions):
+        # The last apply_delta's accounting belongs to cache_info(), not to
+        # the stats of whichever unrelated query is solved next.
+        engine = TopRREngine(catalogue)
+        engine.query(3, regions[0])
+        mutated, delta = catalogue.delete_options(positions=[0, 1, 2])
+        engine.apply_delta(mutated, delta)
+        assert engine.cache_info()["mutations"]["n_deltas"] == 1
+        stats = engine.query(4, regions[1]).stats.as_dict()
+        for key in ("n_entries_survived", "n_entries_evicted", "n_dominance_tests"):
+            assert key not in stats
+
 
 class TestRegionFingerprint:
     def test_equal_regions_share_fingerprints(self):
@@ -214,18 +226,20 @@ class TestEngineBatch:
             assert result.n_vertices == reference.n_vertices
             assert np.array_equal(np.sort(result.thresholds), np.sort(reference.thresholds))
 
-    def test_batch_thread_executor(self, catalogue, regions):
+    def test_batch_process_executor(self, catalogue, regions):
         engine = TopRREngine(catalogue)
         specs = self.batch_specs(regions)
-        batch = engine.query_batch(specs, executor="thread", n_workers=2)
+        batch = engine.query_batch(specs, executor="process", n_workers=2)
         serial = engine.query_batch(specs)
-        for threaded, reference in zip(batch, serial):
-            assert threaded.n_vertices == reference.n_vertices
+        for pooled, reference in zip(batch, serial):
+            assert pooled.vertices_reduced.tobytes() == reference.vertices_reduced.tobytes()
+            assert pooled.thresholds.tobytes() == reference.thresholds.tobytes()
 
     def test_batch_rejects_unknown_executor(self, catalogue, regions):
         engine = TopRREngine(catalogue)
-        with pytest.raises(InvalidParameterError):
-            engine.query_batch([(5, regions[0])], executor="gpu")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(InvalidParameterError):
+                engine.query_batch([(5, regions[0]), (3, regions[1])], executor=executor)
 
     def test_warm_precomputes_skyband(self, catalogue, regions):
         engine = TopRREngine(catalogue)

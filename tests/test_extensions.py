@@ -1,15 +1,37 @@
 """Tests for the core extensions: sampled baseline, parallel solving, pre-computation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.parallel import solve_toprr_parallel, split_region_into_boxes
+from repro.core.parallel import (
+    RegionParallelSolver,
+    solve_toprr_parallel,
+    split_region_into_boxes,
+)
 from repro.core.precompute import PrecomputedTopRR, region_fingerprint
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
+from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
+
+#: SHA-256 of ``V_all``, ``thresholds`` and the ``oR`` vertices of the
+#: region-parallel answer on the ``market`` / ``region`` fixtures (k=8,
+#: 4 pieces), recorded before the solver was folded into the query engine.
+PARALLEL_ANSWER_SHA256 = (
+    "9fc37c97b7a06c0e30c454ba9ebffa16c3143edf2b5922f172353d5695ac0e02",
+    "3568a7b7b350504ac3c882aed121c6e80c41418131aff4c3b11387054f437fa6",
+    "e88c60057fbe36e2bbbfe4405db4f25f02008961cadd040733c92b09c26068d1",
+)
+
+
+def answer_sha256(result):
+    """SHA-256 of the answer arrays, in the order of :data:`PARALLEL_ANSWER_SHA256`."""
+    arrays = (result.vertices_reduced, result.thresholds, result.polytope.vertices)
+    return tuple(hashlib.sha256(array.tobytes()).hexdigest() for array in arrays)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +112,7 @@ class TestRegionChopping:
 
 
 class TestParallelSolving:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_sequential_answer(self, market, region, exact_result, executor):
         parallel = solve_toprr_parallel(
             market, 8, region, n_workers=2, n_pieces=4, executor=executor
@@ -121,6 +143,31 @@ class TestParallelSolving:
             solve_toprr_parallel(market, 5, region, n_workers=0)
         with pytest.raises(InvalidParameterError):
             solve_toprr_parallel(market, 5, region, executor="gpu")
+        with pytest.raises(InvalidParameterError):
+            solve_toprr_parallel(market, 5, region, executor="thread")
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_k_beyond_dataset_size_rejected(self, region, executor):
+        # Same validation as solve_toprr: the parallel path runs the engine's.
+        tiny = generate_independent(30, 3, rng=31)
+        with pytest.raises(InvalidParameterError):
+            solve_toprr_parallel(tiny, 31, region, n_workers=2, executor=executor)
+
+    def test_reports_the_engine_pipeline_counters(self, market, region):
+        result = solve_toprr_parallel(market, 8, region, n_pieces=4, executor="serial")
+        stats = result.stats
+        assert stats.n_after_lemma5 > 0
+        assert stats.n_vertices == result.n_vertices
+        assert stats.n_clip_calls > 0  # geometry counters summed over pieces
+        assert stats.extra["skyband_cache_hit"] is False
+
+    def test_engine_runs_the_solver_on_its_cached_skyband(self, market, region):
+        engine = TopRREngine(market)
+        engine.warm([8], [region])
+        solver = RegionParallelSolver(n_workers=2, n_pieces=4, executor="serial")
+        result = engine.query(8, region, method=solver)
+        assert result.stats.extra["skyband_cache_hit"] is True
+        assert answer_sha256(result) == PARALLEL_ANSWER_SHA256
 
 
 class TestPrecomputedTopRR:
@@ -180,7 +227,7 @@ class TestPrecomputedTopRR:
 class TestParallelIncrementalRouting:
     """The chopped-region path routes through the shared split-tree memo."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_incremental_matches_from_scratch(self, market, region, executor):
         incremental = solve_toprr_parallel(
             market, 8, region, n_workers=2, n_pieces=4, executor=executor, incremental=True
@@ -188,8 +235,8 @@ class TestParallelIncrementalRouting:
         scratch = solve_toprr_parallel(
             market, 8, region, n_workers=2, n_pieces=4, executor=executor, incremental=False
         )
-        assert incremental.vertices_reduced.tobytes() == scratch.vertices_reduced.tobytes()
-        assert incremental.thresholds.tobytes() == scratch.thresholds.tobytes()
+        assert answer_sha256(incremental) == PARALLEL_ANSWER_SHA256
+        assert answer_sha256(scratch) == PARALLEL_ANSWER_SHA256
         # memo counters are live on the incremental path and silent otherwise
         stats = incremental.stats
         assert stats.n_score_rows_computed > 0

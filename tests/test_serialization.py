@@ -1,5 +1,6 @@
 """Tests for saving and loading TopRR results."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.serialization import (
     result_to_dict,
     save_result,
 )
+from repro.core.stats import SolverStats
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
 from repro.exceptions import InvalidParameterError, SerializationError
@@ -144,3 +146,29 @@ class TestByteExactRoundTrip:
             load_result(path)
         with pytest.raises(SerializationError):
             load_result(tmp_path / "missing.json")
+
+
+class TestSolverStatsDict:
+    def test_every_field_survives_the_dict_round_trip(self):
+        stats = SolverStats(extra={"executor": "serial"})
+        for index, f in enumerate(dataclasses.fields(SolverStats)):
+            if f.name == "extra":
+                continue
+            default = getattr(stats, f.name)
+            value = (not default) if isinstance(default, bool) else type(default)(index + 1.5)
+            setattr(stats, f.name, value)
+            assert value != default
+        payload = stats.as_dict()
+        assert payload["vertex_cache_hit_rate"] == stats.vertex_cache_hit_rate
+        assert SolverStats.from_dict(payload) == stats
+
+    def test_retired_stats_keys_load_into_extra(self, result):
+        # Result documents written before the per-solve mutation counters
+        # were retired still carry them; they load as free-form extras.
+        document = result_to_dict(result)
+        retired = {"n_entries_survived": 2, "n_entries_evicted": 1, "n_dominance_tests": 7}
+        document["stats"].update(retired)
+        loaded = result_from_dict(document, dataset=result.dataset)
+        for key, value in retired.items():
+            assert loaded.stats.extra[key] == value
+        assert loaded.vertices_reduced.tobytes() == result.vertices_reduced.tobytes()

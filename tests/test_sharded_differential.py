@@ -121,13 +121,14 @@ class TestShardedSolveParity:
             assert_bit_identical(sharded, reference)
 
     def test_solve_toprr_shards_dispatch(self):
+        # Sharding has one one-shot entry point; solve_toprr does not dispatch to it.
         dataset = generate_independent(600, 3, rng=51)
         region = random_hypercube_region(3, 0.08, rng=52)
         reference = solve_toprr(dataset, 5, region)
-        sharded = solve_toprr(dataset, 5, region, shards=3, shard_executor="serial")
+        sharded = solve_toprr_sharded(dataset, 5, region, n_shards=3, executor="serial")
         assert_bit_identical(sharded, reference)
-        with pytest.raises(InvalidParameterError):
-            solve_toprr(dataset, 5, region, shards=3, prefilter=False)
+        with pytest.raises(TypeError):
+            solve_toprr(dataset, 5, region, shards=3)
 
 
 class TestShardedEngineParity:
