@@ -47,10 +47,10 @@ from repro.core.placement import (
 )
 from repro.core.composite import constrain_result, solve_toprr_union
 from repro.core.parallel import solve_toprr_parallel
-from repro.core.sharded import solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter, solve_toprr_sharded
 from repro.core.precompute import PrecomputedTopRR
 from repro.core.sampled import sampled_toprr
-from repro.engine import ShardedEngine, TopRREngine
+from repro.engine import TopRREngine
 from repro.topk.query import top_k, top_k_score
 from repro.version import __version__
 
@@ -72,7 +72,7 @@ __all__ = [
     "solve_toprr_sharded",
     "PrecomputedTopRR",
     "TopRREngine",
-    "ShardedEngine",
+    "ShardedPrefilter",
     "sampled_toprr",
     "top_k",
     "top_k_score",

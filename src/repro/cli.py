@@ -40,10 +40,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.placement import cheapest_new_option
-from repro.core.sharded import solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_synthetic
-from repro.engine import ShardedEngine, TopRREngine
+from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError
 from repro.experiments.ablations import ABLATIONS, run_ablation
 from repro.experiments.config import Scale
@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="serve through the sharded engine: the r-skyband pre-filter runs "
-        "process-parallel over N option shards per query (ignores --executor)",
+        help="shard the engine's r-skyband pre-filter: it runs process-parallel "
+        "over N option shards per query (ignores --executor)",
     )
     batch.add_argument(
         "--shard-strategy",
@@ -218,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="serve through the sharded engine (serial executor); mutations "
-        "re-plan the shards automatically",
+        help="shard the engine's r-skyband pre-filter over N option shards "
+        "(serial executor); mutations re-plan the shards automatically",
     )
     mutate.add_argument("--seed", type=int, default=7, help="random seed")
 
@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="serve through the sharded engine (process-parallel pre-filter)",
+        help="shard the engine's r-skyband pre-filter over N option shards "
+        "(process-parallel)",
     )
     serve.add_argument(
         "--threads",
@@ -259,6 +260,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _sharded_prefilter(args: argparse.Namespace, executor: str = "process"):
+    """The ``--shards`` pre-filter of a command's engine, or ``None`` without the flag.
+
+    Commands that lack a ``--shard-*`` flag use its default; the caller
+    closes the returned pre-filter.
+    """
+    if not args.shards:
+        return None
+    return ShardedPrefilter(
+        args.shards,
+        strategy=getattr(args, "shard_strategy", "contiguous"),
+        executor=getattr(args, "shard_executor", executor),
+        timeout=getattr(args, "shard_timeout", None),
+        retries=getattr(args, "shard_retries", 2),
+        fallback=not getattr(args, "no_fallback", False),
+    )
 
 
 def _churn_step(rng, dataset, fraction):
@@ -301,21 +320,12 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_solve(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
     region = random_hypercube_region(args.d, args.sigma, rng=args.seed + 1)
-    if args.shards is None:
-        result = solve_toprr(dataset, args.k, region, method=args.method)
-    else:
-        result = solve_toprr_sharded(
-            dataset,
-            args.k,
-            region,
-            n_shards=args.shards,
-            strategy=args.shard_strategy,
-            executor=args.shard_executor,
-            method=args.method,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.shard_retries,
-            shard_fallback=not args.no_fallback,
-        )
+    shards = _sharded_prefilter(args)
+    try:
+        result = solve_toprr(dataset, args.k, region, method=args.method, prefilter=shards or True)
+    finally:
+        if shards:
+            shards.close()
     print(format_table([result.summary()], title="TopRR result"))
     if args.shards:
         print(
@@ -354,20 +364,11 @@ def _command_batch(args: argparse.Namespace) -> int:
     ]
     queries = [pairs[i % distinct] for i in range(args.queries)]
 
-    if args.shards:
-        engine = ShardedEngine(
-            dataset,
-            n_shards=args.shards,
-            strategy=args.shard_strategy,
-            method=args.method,
-            rng=args.seed,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.shard_retries,
-            shard_fallback=not args.no_fallback,
-        )
-        label = f"shards={engine.n_shards}x{args.shard_strategy}"
+    shards = _sharded_prefilter(args)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
+    if shards:
+        label = f"shards={shards.n_shards}x{args.shard_strategy}"
     else:
-        engine = TopRREngine(dataset, method=args.method, rng=args.seed)
         label = f"executor={args.executor}"
     mutate_every = args.mutate_every
     if mutate_every is not None and mutate_every <= 0:
@@ -386,23 +387,20 @@ def _command_batch(args: argparse.Namespace) -> int:
                         engine.apply_delta(current, delta)
                         n_deltas += 1
                 results.append(engine.query(k, region))
-        elif args.shards:
-            results = engine.query_batch(queries)
         else:
-            results = engine.query_batch(queries, executor=args.executor)
+            # A sharded pre-filter parallelises inside each query instead.
+            results = engine.query_batch(queries, executor="serial" if shards else args.executor)
     except InvalidParameterError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        if args.shards:
-            engine.close()
+        if shards:
+            shards.close()
     seconds = time.perf_counter() - start
 
     rows = [results[i].summary() for i in range(distinct)]
     print(format_table(rows, title=f"engine batch ({args.queries} queries, {distinct} distinct)"))
     info = engine.cache_info()
-    if args.shards:
-        info = info["merged"]
     print(
         f"\n{len(results)} queries in {seconds:.2f}s "
         f"({len(results) / max(seconds, 1e-9):.1f} queries/s, {label})"
@@ -437,12 +435,8 @@ def _command_mutate(args: argparse.Namespace) -> int:
         )
         for i in range(args.distinct)
     ]
-    if args.shards:
-        engine = ShardedEngine(
-            dataset, n_shards=args.shards, executor="serial", method=args.method, rng=args.seed
-        )
-    else:
-        engine = TopRREngine(dataset, method=args.method, rng=args.seed)
+    shards = _sharded_prefilter(args, executor="serial")
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
     try:
         warm = time.perf_counter()
         for k, region in pairs:
@@ -464,7 +458,7 @@ def _command_mutate(args: argparse.Namespace) -> int:
             if args.flush:
                 # Baseline arm: discard everything the maintenance kept, as a
                 # pre-mutation engine had to (apply_delta still rebinds the
-                # dataset and re-plans shards correctly).
+                # dataset).
                 engine.clear_caches()
             round_timer = time.perf_counter()
             for k, region in pairs:
@@ -478,8 +472,6 @@ def _command_mutate(args: argparse.Namespace) -> int:
         total_seconds = time.perf_counter() - total
 
         info = engine.cache_info()
-        if args.shards:
-            info = info["merged"]
         print(f"\n{args.rounds} rounds in {total_seconds:.2f}s ({arm} maintenance)")
         if not args.flush:
             mutations = info["mutations"]
@@ -499,8 +491,8 @@ def _command_mutate(args: argparse.Namespace) -> int:
             return 1
         print("parity: maintained results are bit-identical to a fresh rebuild")
     finally:
-        if args.shards:
-            engine.close()
+        if shards:
+            shards.close()
     return 0
 
 
@@ -513,12 +505,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serving.server import ToprrServer
 
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
-    if args.shards:
-        engine = ShardedEngine(
-            dataset, n_shards=args.shards, method=args.method, rng=args.seed
-        )
-    else:
-        engine = TopRREngine(dataset, method=args.method, rng=args.seed)
+    shards = _sharded_prefilter(args)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
     if args.snapshot:
         path = Path(args.snapshot)
         if not path.exists():
@@ -555,8 +543,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         if args.save_snapshot:
             path = engine.save_caches(args.save_snapshot)
             print(f"saved warm caches to {path}")
-        if args.shards:
-            engine.close()
+        if shards:
+            shards.close()
     return 0
 
 

@@ -31,9 +31,9 @@ at the first one that produces a result:
    raise :class:`~repro.exceptions.ShardExecutionError`.
 
 Every rung is counted in :class:`ResilienceStats` (folded into
-:class:`~repro.core.stats.SolverStats` by the sharded engine) so degraded
-queries are *observable*, and every failure mode is reproducible through the
-fault-injection plans of :mod:`repro.core.faults` — pool workers run
+:class:`~repro.core.stats.SolverStats` by the engine's sharded pre-filter)
+so degraded queries are *observable*, and every failure mode is reproducible
+through the fault-injection plans of :mod:`repro.core.faults` — pool workers run
 :func:`worker_initializer`, which installs the plan exported in the
 environment, if any.
 """

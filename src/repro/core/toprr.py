@@ -17,7 +17,7 @@ the experiment harness needs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.geometry.polytope import ConvexPolytope
 from repro.preference.region import PreferenceRegion
 from repro.utils.rng import RngLike
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
+
+if TYPE_CHECKING:  # the sharded module builds on this one
+    from repro.core.sharded import ShardedPrefilter
 
 #: Method labels accepted by :func:`solve_toprr`.
 METHODS = ("tas*", "tas", "pac")
@@ -172,7 +175,7 @@ def solve_toprr(
     k: int,
     region: PreferenceRegion,
     method: SolverLike = "tas*",
-    prefilter: bool = True,
+    prefilter: Union[bool, "ShardedPrefilter"] = True,
     clip_to_unit_box: bool = True,
     option_bounds: Optional[tuple] = None,
     rng: RngLike = 0,
@@ -195,7 +198,9 @@ def solve_toprr(
         solver instance.
     prefilter:
         Apply the r-skyband pre-filter first (recommended; disabling it is
-        only useful for measuring the filters themselves).
+        only useful for measuring the filters themselves).  A
+        :class:`~repro.core.sharded.ShardedPrefilter` runs it over option
+        shards instead, with a bit-identical result.
     clip_to_unit_box:
         Clip ``oR`` to the unit option-space box ``[0, 1]^d``.
     option_bounds:
@@ -215,8 +220,8 @@ def solve_toprr(
     is a convenience wrapper around a one-shot engine with caching disabled;
     sessions that issue several queries against the same dataset should hold
     an engine instead (bind once, query many).  The parallel front ends build
-    on the same engine: :func:`repro.core.sharded.solve_toprr_sharded` shards
-    the pre-filter over the options, and
+    on the same engine: :func:`repro.core.sharded.solve_toprr_sharded` passes
+    a sharded pre-filter as ``prefilter``, and
     :func:`repro.core.parallel.solve_toprr_parallel` passes a region-parallel
     solver as ``method``.
     """

@@ -24,9 +24,8 @@ class Dataset:
     ----------
     values:
         ``(n, d)`` array-like of attribute values.  An already-float64 numpy
-        array is adopted as-is (no copy), so views — e.g. shard windows from
-        :meth:`slice_view` or arrays backed by shared memory — keep sharing
-        their underlying buffer.
+        array is adopted as-is (no copy), so views — e.g. arrays backed by
+        shared memory — keep sharing their underlying buffer.
     attribute_names:
         Optional names for the ``d`` attributes (defaults to ``attr_0 ...``).
     option_ids:
@@ -41,9 +40,9 @@ class Dataset:
         constructed datasets are version ``0``; every mutation produces a
         new dataset at ``version + 1`` together with a
         :class:`~repro.core.mutation.MutationDelta` describing the step.
-        Engines and shard plans are version-tagged against this value so
-        stale derived structures (id lookup tables, shard position maps)
-        are detected instead of silently serving old state.
+        Engines are version-tagged against this value so stale derived
+        structures (id lookup tables, cached r-skybands) are detected instead
+        of silently serving old state.
     """
 
     def __init__(
@@ -167,41 +166,6 @@ class Dataset:
         drop = set(int(i) for i in indices)
         keep = [i for i in range(self.n_options) if i not in drop]
         return self.subset(keep, name=name or f"{self.name}[minus:{len(drop)}]")
-
-    def slice_view(
-        self,
-        start: int,
-        stop: int,
-        option_ids: Optional[Sequence] = None,
-        name: Optional[str] = None,
-    ) -> "Dataset":
-        """A zero-copy dataset over the contiguous row range ``[start, stop)``.
-
-        Unlike :meth:`subset`, which gathers rows into a fresh matrix, the
-        returned dataset *shares* this dataset's value buffer (the
-        constructor never copies an already-float64 array).  This is what
-        the option-space sharding layer (:mod:`repro.data.sharding`) builds
-        per-shard datasets from: ``n_shards`` views cost no memory beyond
-        the parent matrix, and a view over a shared-memory buffer stays a
-        window onto the same physical pages in every attached process.
-
-        ``option_ids`` defaults to the parent's ids for the range, keeping
-        :meth:`subset` semantics; treat the values as read-only, as writes
-        would alias the parent.
-        """
-        start, stop = int(start), int(stop)
-        if not (0 <= start <= stop <= self.n_options):
-            raise InvalidParameterError(
-                f"slice [{start}, {stop}) out of range for {self.n_options} options"
-            )
-        if option_ids is None:
-            option_ids = self.option_ids[start:stop]
-        return Dataset(
-            self._values[start:stop],
-            attribute_names=self.attribute_names,
-            option_ids=option_ids,
-            name=name or f"{self.name}[{start}:{stop}]",
-        )
 
     # ------------------------------------------------------------------ #
     # streaming mutations (versioned)

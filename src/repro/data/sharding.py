@@ -1,9 +1,9 @@
 """Option-space sharding: disjoint dataset partitions and shared-memory matrices.
 
-The sharded solving path (:mod:`repro.core.sharded`,
-:class:`repro.engine.sharded.ShardedEngine`) partitions the *options* of a
-dataset into ``n_shards`` disjoint shards, filters every shard in its own
-worker process, and reconciles the per-shard candidates in a coordinator.
+The sharded pre-filter (:class:`repro.core.sharded.ShardedPrefilter`)
+partitions the *options* of a dataset into ``n_shards`` disjoint shards,
+filters every shard in its own worker process, and reconciles the per-shard
+candidates in the calling engine.
 This module provides the two building blocks that make that cheap:
 
 * **Shard plans** (:class:`ShardSpec`, :func:`plan_shards`) — pure-metadata
@@ -12,17 +12,17 @@ This module provides the two building blocks that make that cheap:
   matter how large the dataset is; the worker re-derives its row indices
   locally.  Two strategies exist:
 
-  - ``"contiguous"`` — balanced row ranges ``[i*n//s, (i+1)*n//s)``.  Shard
-    datasets are zero-copy views of the parent (see
-    :meth:`repro.data.dataset.Dataset.slice_view`).
+  - ``"contiguous"`` — balanced row ranges ``[i*n//s, (i+1)*n//s)``; a
+    shard's rows of the score matrix are a zero-copy slice.
   - ``"hash"`` — rows are assigned by a splitmix64 hash of their positional
     index, decorrelating shard membership from the row order of the file the
     dataset was loaded from.  The assignment depends only on
     ``(n_options, n_shards)``, so it is stable across processes and sessions.
 
   Every spec maps *back* to the parent: :meth:`ShardSpec.positions` returns
-  the parent positional indices of the shard's rows, and shard datasets
-  built by :func:`shard_dataset` carry those positions as their option ids.
+  the parent positional indices of the shard's rows.  A plan is planned for
+  one option count; the sharded pre-filter re-plans from the current ``n``
+  on every query, so a mutated dataset never meets a stale plan.
 
 * **Shared-memory matrices** (:class:`SharedMatrix`,
   :func:`attach_shared_matrix`) — a 2-D float array placed in
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset
 from repro.exceptions import InvalidParameterError
 
 #: Shard assignment strategies accepted by :func:`plan_shards`.
@@ -138,34 +137,6 @@ def plan_shards(n_options: int, n_shards: int, strategy: str = "contiguous") -> 
             f"unknown shard strategy {strategy!r}; expected one of {SHARD_STRATEGIES}"
         )
     return [ShardSpec(i, n_shards, n_options, strategy) for i in range(n_shards)]
-
-
-def shard_dataset(dataset: Dataset, spec: ShardSpec) -> Dataset:
-    """The shard's rows as a :class:`Dataset` whose option ids are parent positions.
-
-    Contiguous shards are zero-copy views of the parent's value matrix
-    (:meth:`~repro.data.dataset.Dataset.slice_view`); hash shards gather
-    their rows once.  Option ids are the parent *positional* indices, so any
-    per-shard result maps back to the parent dataset by id — the convention
-    the sharded coordinator and the per-shard engines rely on.
-    """
-    if spec.n_options != dataset.n_options:
-        raise InvalidParameterError(
-            f"shard spec was planned for {spec.n_options} options but the dataset "
-            f"has {dataset.n_options}; re-plan after mutating the dataset "
-            "(ShardedEngine.apply_delta does this automatically)"
-        )
-    name = f"{dataset.name}[shard {spec.shard_id}/{spec.n_shards}:{spec.strategy}]"
-    if spec.strategy == "contiguous":
-        start, stop = spec.bounds()
-        return dataset.slice_view(start, stop, option_ids=list(range(start, stop)), name=name)
-    positions = spec.positions()
-    return Dataset(
-        dataset.values[positions],
-        attribute_names=dataset.attribute_names,
-        option_ids=positions.tolist(),
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------- #

@@ -3,9 +3,9 @@
 * :mod:`repro.engine.engine` — :class:`TopRREngine`: bind a dataset once,
   answer many queries with cross-query caching (affine score form,
   r-skyband, full results), batch execution and cache warming.
-* :mod:`repro.engine.sharded` — :class:`ShardedEngine`: the same contract
-  with the r-skyband pre-filter sharded over disjoint option partitions and
-  run on a process pool against shared-memory score matrices.
+  Passing a :class:`~repro.core.sharded.ShardedPrefilter` as its
+  ``prefilter`` shards the r-skyband over disjoint option partitions, run on
+  a process pool against shared-memory score matrices.
 * :mod:`repro.engine.cache` — the bounded LRU used for the caches.
 * :mod:`repro.engine.fingerprint` — hashable region fingerprints (cache keys).
 """
@@ -13,11 +13,9 @@
 from repro.engine.cache import CacheInfo, LRUCache
 from repro.engine.engine import BATCH_EXECUTORS, TopRREngine
 from repro.engine.fingerprint import region_fingerprint
-from repro.engine.sharded import ShardedEngine
 
 __all__ = [
     "TopRREngine",
-    "ShardedEngine",
     "BATCH_EXECUTORS",
     "LRUCache",
     "CacheInfo",

@@ -37,6 +37,14 @@ Results are exactly those of :func:`~repro.core.toprr.solve_toprr` — the
 engine only changes where the intermediates come from, never what they are
 (the parity tests in ``tests/test_engine.py`` assert this).  A runnable tour
 of the cache behaviour lives in ``examples/quickstart.py``.
+
+**Sharded pre-filter.**  ``prefilter`` may also be a
+:class:`~repro.core.sharded.ShardedPrefilter`: every r-skyband the engine
+computes then runs over disjoint option shards (serially or on a process
+pool) and is reconciled to the exact global band, so the engine — caches,
+snapshots, mutation maintenance and all — is unchanged on top, and its
+answers stay bit-identical.  The per-query shard counters land in the
+result's :class:`~repro.core.stats.SolverStats`.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from repro.core.mutation import (
     position_column_map,
 )
 from repro.core.scorecache import VertexScoreMemo
+from repro.core.sharded import ShardedPrefilter
 from repro.core.stats import SolverStats
 from repro.core.toprr import SolverLike, TopRRResult, make_solver
 from repro.data.dataset import Dataset
@@ -65,7 +74,7 @@ from repro.engine.fingerprint import region_fingerprint
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
-from repro.pruning.rskyband import r_skyband
+from repro.pruning.rskyband import r_skyband, vertex_score_matrix
 from repro.utils.rng import RngLike
 from repro.utils.timer import Timer
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
@@ -75,6 +84,33 @@ BATCH_EXECUTORS = ("serial", "process")
 
 #: One query of a batch: ``(k, region)``.
 QuerySpec = Tuple[int, PreferenceRegion]
+
+
+def _record_shards(stats: SolverStats, shards: ShardedPrefilter, info: Optional[dict]) -> None:
+    """Fold one query's sharded pre-filter counters into its stats.
+
+    ``info`` is :meth:`ShardedPrefilter.filter`'s bookkeeping, or ``None``
+    when the r-skyband came from the cache and no shard ran.
+    """
+    stats.n_shards = shards.n_shards
+    stats.extra["shard_strategy"] = shards.strategy
+    stats.extra["shard_executor"] = shards.executor
+    if info is None:
+        return
+    stats.merge_seconds = info["merge_seconds"]
+    stats.extra["shard_filter_seconds"] = info["filter_seconds"]
+    stats.extra["shard_seconds"] = info["shard_seconds"]
+    stats.extra["shard_candidates"] = info["shard_candidates"]
+    stats.extra["n_candidates"] = info["n_candidates"]
+    resilience = info["resilience"]
+    if resilience is not None:
+        stats.n_retries = resilience.n_retries
+        stats.n_worker_crashes = resilience.n_worker_crashes
+        stats.n_pool_rebuilds = resilience.n_pool_rebuilds
+        stats.n_degraded_shards = resilience.n_degraded_tasks
+        stats.degraded = resilience.degraded
+        if resilience.events:
+            stats.extra["resilience_events"] = list(resilience.events)
 
 
 def _solve_query_worker(dataset, k, region, method, prefilter, clip, bounds, rng, tol):
@@ -105,7 +141,11 @@ class TopRREngine:
         Default solver for queries that do not specify one
         (``"tas*"``, ``"tas"``, ``"pac"``, or a solver instance).
     prefilter:
-        Apply the r-skyband pre-filter (as :func:`solve_toprr` does).
+        Apply the r-skyband pre-filter (as :func:`solve_toprr` does), or a
+        :class:`~repro.core.sharded.ShardedPrefilter` to run it over option
+        shards.  The caller owns (and closes) a sharded pre-filter; the
+        :attr:`prefilter` attribute stays a bool (``True`` when sharded), so
+        snapshots restore across sharded and unsharded engines.
     clip_to_unit_box, option_bounds:
         Output-region clipping, as in :func:`solve_toprr`.
     rng:
@@ -141,7 +181,7 @@ class TopRREngine:
         self,
         dataset: Dataset,
         method: SolverLike = "tas*",
-        prefilter: bool = True,
+        prefilter: Union[bool, ShardedPrefilter] = True,
         clip_to_unit_box: bool = True,
         option_bounds: Optional[tuple] = None,
         rng: RngLike = 0,
@@ -151,7 +191,8 @@ class TopRREngine:
     ):
         self.dataset = dataset
         self.method = method
-        self.prefilter = bool(prefilter)
+        self._shards = prefilter if isinstance(prefilter, ShardedPrefilter) else None
+        self.prefilter = self._shards is not None or bool(prefilter)
         self.clip_to_unit_box = bool(clip_to_unit_box)
         self.option_bounds = option_bounds
         self.rng = rng
@@ -165,7 +206,7 @@ class TopRREngine:
         self._counter_lock = threading.Lock()
         self.n_queries = 0
         # Mutation-maintenance state: memos of entries evicted by a delta,
-        # kept around (bounded) so install_skyband can salvage their score
+        # kept around (bounded) so _install_skyband can salvage their score
         # rows when the entry is rebuilt; plus cumulative accounting.
         self._mutation_salvage: dict = {}
         self._mutation_totals = MutationReport()
@@ -196,6 +237,16 @@ class TopRREngine:
                 f"has {self.dataset.n_attributes} attributes"
             )
 
+    def _skyband(self, k: int, region: PreferenceRegion) -> Tuple[np.ndarray, Optional[dict]]:
+        """The r-skyband of ``(k, region)`` plus the sharded pre-filter's info.
+
+        The info is ``None`` on the unsharded path, which calls this module's
+        :func:`r_skyband` (the name the stage tracer patches).
+        """
+        if self._shards is None:
+            return r_skyband(self.dataset, k, region, tol=self.tol), None
+        return self._shards.filter(vertex_score_matrix(self.dataset, region), k, self.tol)
+
     def prefiltered(
         self, k: int, region: PreferenceRegion
     ) -> Tuple[Dataset, WorkingSet, VertexScoreMemo, bool]:
@@ -208,6 +259,10 @@ class TopRREngine:
         repeated queries against the same ``(k, region)`` reuse each other's
         split-tree vertex scores even when the full result was not cached.
         """
+        return self._prefilter(k, region)[:4]
+
+    def _prefilter(self, k: int, region: PreferenceRegion) -> tuple:
+        """:meth:`prefiltered` plus the shard info of a filter run here (else ``None``)."""
         coefficients, constants = self.affine_form()
         if not self.prefilter:
             with self._counter_lock:
@@ -217,64 +272,46 @@ class TopRREngine:
                     self._nofilter_workings[int(k)] = working
                 if self._full_memo is None:
                     self._full_memo = VertexScoreMemo(coefficients, constants)
-            return self.dataset, working, self._full_memo, False
+            return self.dataset, working, self._full_memo, False, None
 
         if self._skyband_cache.maxsize <= 0:
             # Cache disabled (the experiment runner's timing engines): skip
             # the fingerprint, the salvage lookup and the exact-vertex dump
             # entirely — none of them can pay off, and the fingerprint's
             # vertex enumeration would pollute the measured filter time.
-            kept = np.asarray(r_skyband(self.dataset, k, region, tol=self.tol), dtype=int)
+            kept, shard_info = self._skyband(k, region)
+            kept = np.asarray(kept, dtype=int)
             filtered = self.dataset.subset(kept, name=f"{self.dataset.name}[r-skyband]")
             working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
-            return filtered, working, VertexScoreMemo.for_working(working), False
+            return filtered, working, VertexScoreMemo.for_working(working), False, shard_info
 
         key = (int(k), region_fingerprint(region))
         cached = self._skyband_cache.get(key)
         if cached is not MISSING:
-            return cached[0], cached[1], cached[2], True
+            return cached[0], cached[1], cached[2], True, None
 
-        kept = r_skyband(self.dataset, k, region, tol=self.tol)
-        filtered, working, memo, _vertices = self.install_skyband(k, region, kept)
-        return filtered, working, memo, False
+        kept, shard_info = self._skyband(k, region)
+        filtered, working, memo, _vertices = self._install_skyband(k, region, kept)
+        return filtered, working, memo, False, shard_info
 
     def cached_result(self, k: int, region: PreferenceRegion, method) -> Optional[TopRRResult]:
         """The cached :class:`TopRRResult` for ``(k, region, method)``, or ``None``.
 
         Pure lookup — never solves.  Only string methods are cacheable, as
-        in :meth:`query`.  The sharded front end checks this before paying
-        the shard fan-out for a query the result cache can already answer.
+        in :meth:`query`.
         """
         if not isinstance(method, str) or self._result_cache.maxsize <= 0:
             return None
         cached = self._result_cache.get((int(k), region_fingerprint(region), method.lower()))
         return None if cached is MISSING else cached
 
-    def cached_skyband(self, k: int, region: PreferenceRegion):
-        """The cached ``(filtered, working, memo, vertices)`` entry, or ``None``.
-
-        Sharding hook: the sharded coordinator peeks every shard engine's
-        cache before deciding which shards actually need to run the filter.
-        Counts as a cache hit/miss like :meth:`prefiltered` does.
-        """
-        if not self.prefilter or self._skyband_cache.maxsize <= 0:
-            return None
-        entry = self._skyband_cache.get((int(k), region_fingerprint(region)))
-        return None if entry is MISSING else entry
-
-    def install_skyband(self, k: int, region: PreferenceRegion, kept) -> tuple:
-        """Install an externally computed r-skyband result and return its entry.
+    def _install_skyband(self, k: int, region: PreferenceRegion, kept) -> tuple:
+        """Cache the r-skyband ``kept`` of ``(k, region)`` and return its entry.
 
         ``kept`` are ascending positional indices into this engine's dataset
         — exactly what :func:`~repro.pruning.rskyband.r_skyband` returns.
-        The entry (filtered dataset, root working set sliced from the bound
-        affine form, vertex-score memo, exact region vertices) is built the
-        same way
-        :meth:`prefiltered` builds it, so a later :meth:`query` for the same
-        ``(k, region)`` is indistinguishable from having run the filter here.
-        This is the sharding hook: the coordinator of
-        :class:`repro.engine.sharded.ShardedEngine` filters in worker
-        processes and installs the results into the per-shard engines.
+        The entry is ``(filtered dataset, root working set sliced from the
+        bound affine form, vertex-score memo, exact region vertices)``.
         """
         coefficients, constants = self.affine_form()
         kept = np.asarray(kept, dtype=int)
@@ -340,7 +377,7 @@ class TopRREngine:
         stats.n_input_options = self.dataset.n_options
 
         timer = Timer().start()
-        filtered, working, memo, skyband_hit = self.prefiltered(k, region)
+        filtered, working, memo, skyband_hit, shard_info = self._prefilter(k, region)
         stats.n_filtered_options = filtered.n_options
 
         vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
@@ -355,6 +392,8 @@ class TopRREngine:
         stats.seconds = timer.stop()
         stats.n_after_lemma5 = stats.n_after_lemma5 or filtered.n_options
         stats.extra["skyband_cache_hit"] = bool(skyband_hit)
+        if self._shards is not None:
+            _record_shards(stats, self._shards, shard_info)
 
         result = TopRRResult(
             dataset=self.dataset,
@@ -392,9 +431,10 @@ class TopRREngine:
             ``"process"`` uses worker processes — fully parallel but without
             shared caches, appropriate for batches of mostly-distinct heavy
             queries.  (A thread executor is not offered: the solve is
-            CPU-bound Python, so threads cannot scale it.)  For CPU-bound
-            scaling on one large catalogue, prefer option-space sharding
-            (:class:`repro.engine.sharded.ShardedEngine`, CLI ``--shards``),
+            CPU-bound Python, so threads cannot scale it.)  Workers run the
+            plain r-skyband even when this engine's is sharded.  For
+            CPU-bound scaling on one large catalogue, prefer a
+            :class:`~repro.core.sharded.ShardedPrefilter` (CLI ``--shards``),
             which parallelises inside each query instead of across queries.
         n_workers:
             Pool size for the ``"process"`` executor.

@@ -40,13 +40,13 @@ class SerializationError(InvalidParameterError):
 
 
 class EngineClosedError(ReproError):
-    """Raised when a closed :class:`~repro.engine.sharded.ShardedEngine` is used.
+    """Raised when a closed :class:`~repro.core.sharded.ShardedPrefilter` is used.
 
-    ``close()`` shuts the worker pool down for good; a later ``query`` /
-    ``apply_delta`` / ``pool_health`` would otherwise silently respawn a
-    pool (leaking workers past the caller's lifecycle) or consult dead
-    state.  Introspection that needs no pool — ``cache_info``,
-    ``clear_caches``, a second ``close()`` — stays usable.
+    ``close()`` shuts the worker pool down for good; a later ``filter`` (an
+    engine query or ``warm`` that misses the r-skyband cache) or ``health``
+    would otherwise silently respawn a pool, leaking workers past the
+    caller's lifecycle.  Whatever needs no filter run — cache hits,
+    ``cache_info``, snapshots, a second ``close()`` — stays usable.
     """
 
 

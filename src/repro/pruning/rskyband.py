@@ -64,10 +64,15 @@ def r_dominates(
     region: PreferenceRegion,
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
-    """True if ``option_a`` r-dominates ``option_b`` with respect to ``region``."""
+    """True if ``option_a`` r-dominates ``option_b`` with respect to ``region``.
+
+    Compares the vertex scores with ``tol.geometry``, the tolerance the
+    r-skyband filter (:func:`~repro.topk.skyband.skyband_of_values`) applies
+    to the same scores, so the two always agree.
+    """
     vertices_full = region.full_vertices()
     scores_a = vertices_full @ np.asarray(option_a, dtype=float)
     scores_b = vertices_full @ np.asarray(option_b, dtype=float)
-    at_least = np.all(scores_a >= scores_b - tol.score)
-    strictly = np.any(scores_a > scores_b + tol.score)
+    at_least = np.all(scores_a >= scores_b - tol.geometry)
+    strictly = np.any(scores_a > scores_b + tol.geometry)
     return bool(at_least and strictly)

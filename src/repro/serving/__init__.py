@@ -1,8 +1,8 @@
 """TopRR as a service: an asyncio HTTP front end over the query engines.
 
-The package turns the session-scoped engines
-(:class:`~repro.engine.engine.TopRREngine`,
-:class:`~repro.engine.sharded.ShardedEngine`) into a long-lived replica:
+The package turns session-scoped :class:`~repro.engine.engine.TopRREngine`
+instances (plain or with a :class:`~repro.core.sharded.ShardedPrefilter`)
+into a long-lived replica:
 
 * :mod:`repro.serving.schemas` — JSON request/response schemas shared by
   the server, the CLI and the benchmark clients;

@@ -1,8 +1,8 @@
 """Per-dataset engine registry, solve coalescing, and mutate/solve exclusion.
 
 One serving replica fronts one or more datasets, each bound to its own
-engine (:class:`~repro.engine.engine.TopRREngine` or
-:class:`~repro.engine.sharded.ShardedEngine`).  The registry wraps each in a
+:class:`~repro.engine.engine.TopRREngine` (plain or with a sharded
+pre-filter).  The registry wraps each in a
 :class:`ServedDataset` carrying the concurrency machinery the engines
 themselves don't need in library use:
 

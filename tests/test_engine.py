@@ -96,7 +96,7 @@ class TestDisabledEngineCaches:
         engine = TopRREngine(catalogue, result_cache_size=0, skyband_cache_size=0)
         engine.query(4, regions[0])
         assert engine.cached_result(4, regions[0], "tas*") is None
-        assert engine.cached_skyband(4, regions[0]) is None
+        assert engine.cache_info()["skyband"]["currsize"] == 0
 
 
 class TestMutationCountersFromConstruction:

@@ -11,9 +11,9 @@ weights, thresholds, output polytope, r-skyband ids and values — against a
 from-scratch engine built directly on the mutated dataset.
 
 200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``),
-plus sharded runs (1/2/4 shards, both strategies) and the shard-geometry
-edges: deleting down until shards are empty and inserting past the original
-contiguous shard bounds.
+plus runs through a sharded pre-filter (1/2/4 shards, both strategies) and
+the shard-geometry edges: deleting down until shards are empty and
+inserting past the original contiguous shard bounds.
 
 The module carries the ``mutation`` marker: CI runs it in the dedicated
 ``mutation-fuzz`` lane while the fast/slow lanes exclude it (a plain
@@ -25,9 +25,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.sharded import ShardedPrefilter
 from repro.data.generators import generate_anticorrelated, generate_independent
-from repro.engine import ShardedEngine, TopRREngine
+from repro.engine import TopRREngine
 from repro.preference.random_regions import random_hypercube_region
+from repro.pruning.rskyband import r_skyband, vertex_score_matrix
+from repro.utils.tolerance import DEFAULT_TOL
 
 pytestmark = pytest.mark.mutation
 
@@ -123,36 +126,29 @@ class TestUnshardedSchedules:
 
 
 class TestShardedSchedules:
-    """Sharded engines maintain the coordinator caches and remap shards."""
+    """Engines with a sharded pre-filter: shards re-plan from the current n."""
 
     @pytest.mark.parametrize("strategy", ["contiguous", "hash"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_fuzz_d3(self, n_shards, strategy):
         for i in range(4):
             seed = 90_000 + 100 * n_shards + 10 * len(strategy) + i
-
-            def factory(ds):
-                return ShardedEngine(
-                    ds, n_shards=n_shards, strategy=strategy, executor="serial", rng=0
-                )
-
-            engine = run_schedule(seed, d=3, n0=120, max_k=5, engine_factory=factory)
-            assert engine.plan[0].n_options == engine.dataset.n_options
-            engine.close()
+            with ShardedPrefilter(n_shards, strategy=strategy, executor="serial") as shards:
+                run_schedule(seed, d=3, n0=120, max_k=5,
+                             engine_factory=lambda ds: TopRREngine(ds, prefilter=shards, rng=0))
 
     def test_fuzz_d4_sharded(self):
-        def factory(ds):
-            return ShardedEngine(ds, n_shards=2, strategy="hash", executor="serial", rng=0)
-
-        engine = run_schedule(95_001, d=4, n0=40, max_k=3,
-                              engine_factory=factory, queries_per_event=1)
-        engine.close()
+        with ShardedPrefilter(2, strategy="hash", executor="serial") as shards:
+            run_schedule(95_001, d=4, n0=40, max_k=3,
+                         engine_factory=lambda ds: TopRREngine(ds, prefilter=shards, rng=0),
+                         queries_per_event=1)
 
     def test_process_executor_after_mutation(self):
-        """Worker pools survive a mutation: only the plan/engines rebuild."""
+        """The worker pool survives a mutation: workers are stateless."""
         dataset = generate_independent(600, 3, rng=3)
         region = random_hypercube_region(3, 0.07, rng=4)
-        with ShardedEngine(dataset, n_shards=2, executor="process", rng=0) as engine:
+        with ShardedPrefilter(2, executor="process") as shards:
+            engine = TopRREngine(dataset, prefilter=shards, rng=0)
             engine.query(4, region)
             mutated, delta = dataset.insert_options(
                 np.random.default_rng(5).random((30, 3))
@@ -161,6 +157,7 @@ class TestShardedSchedules:
             result = engine.query(4, region)
             oracle = TopRREngine(mutated, rng=0).query(4, region)
             assert_bit_identical(result, oracle)
+            assert shards.health()["n_batches"] >= 1
 
 
 class TestShardGeometryEdges:
@@ -168,7 +165,8 @@ class TestShardGeometryEdges:
         """Deleting below the shard count leaves empty shards, not failures."""
         dataset = generate_independent(40, 3, rng=11)
         region = random_hypercube_region(3, 0.08, rng=12)
-        with ShardedEngine(dataset, n_shards=4, executor="serial", rng=0) as engine:
+        with ShardedPrefilter(4, executor="serial") as shards:
+            engine = TopRREngine(dataset, prefilter=shards, rng=0)
             engine.query(3, region)
             current = dataset
             while current.n_options > 3:
@@ -181,22 +179,24 @@ class TestShardGeometryEdges:
                 oracle = TopRREngine(current, rng=0).query(2, region)
                 assert_bit_identical(result, oracle, context=f"n={current.n_options}")
             # 3 options across 4 shards: at least one shard is now empty.
-            assert any(spec.n_rows == 0 for spec in engine.plan)
+            kept, info = shards.filter(vertex_score_matrix(current, region), 2, DEFAULT_TOL)
+        assert 0 in info["shard_candidates"]
+        assert np.array_equal(kept, r_skyband(current, 2, region))
 
     def test_insert_past_shard_capacity(self):
         """Inserts grow the contiguous bounds; stale bounds must never apply."""
         dataset = generate_independent(20, 3, rng=21)
         region = random_hypercube_region(3, 0.08, rng=22)
         rng = np.random.default_rng(23)
-        with ShardedEngine(dataset, n_shards=4, strategy="contiguous",
-                           executor="serial", rng=0) as engine:
-            old_bounds = [spec.bounds() for spec in engine.plan]
+        with ShardedPrefilter(4, strategy="contiguous", executor="serial") as shards:
+            engine = TopRREngine(dataset, prefilter=shards, rng=0)
             engine.query(3, region)
             # Quintuple the dataset: every original shard's row range is
             # exceeded, so any stale position map would slice garbage.
             current, delta = dataset.insert_options(rng.random((80, 3)))
             engine.apply_delta(current, delta)
-            assert [spec.bounds() for spec in engine.plan] != old_bounds
             result = engine.query(3, region)
             oracle = TopRREngine(current, rng=0).query(3, region)
             assert_bit_identical(result, oracle)
+            kept, _info = shards.filter(vertex_score_matrix(current, region), 3, DEFAULT_TOL)
+        assert np.array_equal(kept, r_skyband(current, 3, region))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.dataset import Dataset
 from repro.data.generators import generate_independent
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
@@ -13,6 +14,7 @@ from repro.pruning.rskyband import r_dominance_count, r_dominates, r_skyband, ve
 from repro.pruning.utk_filter import utk_filter
 from repro.topk.query import top_k
 from repro.topk.skyband import k_skyband
+from repro.utils.tolerance import Tolerance
 
 
 @pytest.fixture
@@ -63,6 +65,25 @@ class TestRSkyband:
         # p1 and p2 are incomparable on [0.2, 0.8] (p1 wins at 0.8, p2 at 0.2).
         assert not r_dominates(figure1.values[0], figure1.values[1], region)
         assert not r_dominates(figure1.values[1], figure1.values[0], region)
+
+    def test_r_dominates_uses_the_filter_tolerance(self):
+        # Option 1 trails option 0 by 1e-4 at every vertex: a tie under the
+        # geometry tolerance the filter uses, a strict loss under the score
+        # tolerance.  r_dominates must side with the filter.
+        tol = Tolerance(geometry=1e-3, score=1e-9)
+        region = PreferenceRegion.interval(0.2, 0.8)
+        dataset = Dataset(np.array([[0.5, 0.5], [0.4999, 0.4999], [0.3, 0.3]]))
+        counts = r_dominance_count(dataset, region, cap=3, tol=tol)
+        band = set(r_skyband(dataset, 1, region, tol=tol).tolist())
+        assert not r_dominates(dataset.values[0], dataset.values[1], region, tol=tol)
+        for i in range(3):
+            dominators = sum(
+                r_dominates(dataset.values[j], dataset.values[i], region, tol=tol)
+                for j in range(3)
+                if j != i
+            )
+            assert dominators == counts[i]
+            assert (dominators < 1) == (i in band)
 
     def test_r_dominance_count(self, figure1):
         region = PreferenceRegion.interval(0.2, 0.8)

@@ -5,9 +5,11 @@ byte-equality of every output array: the sharded stages reproduce the exact
 global r-skyband (decomposition theorem in :mod:`repro.core.sharded`), after
 which the unmodified solve runs on bit-identical inputs.  These tests compare
 ``V_all``, the lifted weights, the thresholds, the output polytope and the
-filtered option ids between :func:`repro.core.toprr.solve_toprr` and the
-sharded path across seeded random instances, shard counts (including more
-shards than options), both strategies and both executors.
+filtered option ids between :func:`repro.core.toprr.solve_toprr` (or a plain
+:class:`~repro.engine.TopRREngine`) and the sharded pre-filter across seeded
+random instances, shard counts (including more shards than options), both
+strategies and both executors.  The engine's cache counters must not notice
+the sharding either.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.sharded import sharded_r_skyband, solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter, sharded_r_skyband, solve_toprr_sharded
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_anticorrelated, generate_independent
-from repro.engine import ShardedEngine, TopRREngine
+from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError
 from repro.preference.random_regions import random_hypercube_region
 from repro.pruning.rskyband import r_skyband
@@ -132,19 +134,67 @@ class TestShardedSolveParity:
 
 
 class TestShardedEngineParity:
+    """The sharded engine — a ``TopRREngine`` whose pre-filter is a
+    :class:`ShardedPrefilter` — against a plain engine."""
+
     def test_session_queries_match_unsharded_engine(self):
         dataset = generate_independent(1_500, 3, rng=61)
         regions = [random_hypercube_region(3, 0.07, rng=62 + i) for i in range(3)]
         reference = TopRREngine(dataset)
-        with ShardedEngine(dataset, n_shards=4, executor="serial") as engine:
+        with ShardedPrefilter(4, executor="serial") as shards:
+            engine = TopRREngine(dataset, prefilter=shards)
             for k in (4, 9):
                 for region in regions:
                     assert_bit_identical(engine.query(k, region), reference.query(k, region))
-            # repeat queries hit the merged skyband / result caches, same answers
+            # repeat queries hit the skyband / result caches, same answers
             again = engine.query(4, regions[0])
             assert_bit_identical(again, reference.query(4, regions[0]))
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("strategy", ["contiguous", "hash"])
+    @pytest.mark.parametrize("n", [7, 900])
+    def test_engine_parity_across_executors_and_strategies(self, executor, strategy, n):
+        """Cold queries through both filter branches (cached and cache-disabled)."""
+        dataset = generate_independent(n, 3, rng=n)
+        region = random_hypercube_region(3, 0.08, rng=n + 1)
+        reference = TopRREngine(dataset).query(3, region)
+        with ShardedPrefilter(9, strategy=strategy, executor=executor) as shards:
+            for size in (128, 0):
+                engine = TopRREngine(dataset, prefilter=shards, skyband_cache_size=size)
+                result = engine.query(3, region)
+                assert_bit_identical(result, reference)
+                assert result.stats.n_shards == 9
+                assert result.stats.extra["shard_executor"] == executor
+                assert len(result.stats.extra["shard_candidates"]) == 9
+        if n < 9:
+            assert 0 in result.stats.extra["shard_candidates"]  # empty shards
+
+    def test_cache_counters_match_unsharded_engine(self):
+        """Sharding changes no cache counter: cold, repeated and post-delta queries."""
+        dataset = generate_independent(400, 3, rng=81)
+        regions = [random_hypercube_region(3, 0.08, rng=82 + i) for i in range(3)]
+        stream = [(k, region) for region in regions for k in (3, 5)]
+        plain = TopRREngine(dataset, rng=0)
+        with ShardedPrefilter(2, executor="serial") as shards:
+            sharded = TopRREngine(dataset, prefilter=shards, rng=0)
+            mutated, delta = dataset.insert_options(
+                np.random.default_rng(83).random((12, 3)) * 0.2 + 0.8
+            )
+            for engine in (plain, sharded):
+                for k, region in stream + stream:  # cold, then repeated
+                    engine.query(k, region)
+                engine.warm([3], regions)
+                engine.apply_delta(mutated, delta)
+                for k, region in stream:  # survivors hit, evicted entries rebuild
+                    engine.query(k, region)
+            for key in ("skyband", "results", "mutations"):
+                assert sharded.cache_info()[key] == plain.cache_info()[key], key
+            assert sharded.cache_info()["n_queries"] == plain.cache_info()["n_queries"]
+            assert plain.cache_info()["results"]["misses"] > len(stream)  # deltas evicted some
+            for k, region in stream:
+                assert_bit_identical(sharded.query(k, region), plain.query(k, region))
 
     def test_engine_rejects_unknown_executor(self):
         dataset = generate_independent(50, 3, rng=71)
         with pytest.raises(InvalidParameterError):
-            ShardedEngine(dataset, executor="threads")
+            TopRREngine(dataset, prefilter=ShardedPrefilter(2, executor="threads"))

@@ -1,9 +1,10 @@
 """Unit tests for the option-space sharding substrate.
 
 Covers the shard plans (disjoint union, stability, empty shards), the
-zero-copy dataset views, the shared-memory matrices (attach really maps the
-same pages) and the zero-pickle contract of the process-pool task payloads.
-The end-to-end sharded-vs-unsharded equivalences live in
+shared-memory matrices (attach really maps the same pages), the zero-pickle
+contract of the process-pool task payloads and the lifecycle of the
+:class:`~repro.core.sharded.ShardedPrefilter` an engine runs.  The
+end-to-end sharded-vs-unsharded equivalences live in
 ``tests/test_sharded_differential.py``.
 """
 
@@ -15,8 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.sharded import _shard_filter_task, shard_skyband
-from repro.data.dataset import Dataset
+from repro.core.sharded import ShardedPrefilter, _shard_filter_task, shard_skyband
 from repro.data.generators import generate_independent
 from repro.data.sharding import (
     SHARD_STRATEGIES,
@@ -25,10 +25,11 @@ from repro.data.sharding import (
     attach_shared_matrix,
     hash_assignments,
     plan_shards,
-    shard_dataset,
 )
+from repro.engine import TopRREngine
 from repro.exceptions import EngineClosedError, InvalidParameterError, ReproError
 from repro.preference.region import PreferenceRegion
+from repro.pruning.rskyband import r_skyband, vertex_score_matrix
 from repro.utils.tolerance import DEFAULT_TOL
 
 
@@ -72,33 +73,6 @@ class TestShardPlans:
             plan_shards(10, 0)
         with pytest.raises(InvalidParameterError):
             plan_shards(10, 2, "roundrobin")
-
-
-class TestShardDatasets:
-    def test_contiguous_shard_is_a_zero_copy_view(self):
-        dataset = generate_independent(100, 3, rng=0)
-        shard = shard_dataset(dataset, plan_shards(100, 4, "contiguous")[1])
-        assert np.shares_memory(shard.values, dataset.values)
-        assert shard.option_ids == list(range(25, 50))
-
-    def test_hash_shard_carries_parent_positions_as_ids(self):
-        dataset = generate_independent(60, 3, rng=1)
-        spec = plan_shards(60, 3, "hash")[2]
-        shard = shard_dataset(dataset, spec)
-        assert shard.option_ids == spec.positions().tolist()
-        assert np.array_equal(shard.values, dataset.values[spec.positions()])
-
-    def test_slice_view_shares_memory_and_validates(self):
-        dataset = generate_independent(50, 3, rng=2)
-        view = dataset.slice_view(10, 30)
-        assert np.shares_memory(view.values, dataset.values)
-        assert view.option_ids == dataset.option_ids[10:30]
-        with pytest.raises(InvalidParameterError):
-            dataset.slice_view(-1, 10)
-        with pytest.raises(InvalidParameterError):
-            dataset.slice_view(10, 51)
-        with pytest.raises(InvalidParameterError):
-            dataset.slice_view(30, 10)
 
 
 class TestSharedMatrix:
@@ -149,10 +123,9 @@ class TestZeroPickleContract:
         expected = shard_skyband(scores, spec, 5)
         with ProcessPoolExecutor(max_workers=1) as pool:
             with SharedMatrix.create_from(scores) as shared:
-                shard_id, kept, seconds = pool.submit(
+                kept, seconds = pool.submit(
                     _shard_filter_task, shared.spec, spec, 5, DEFAULT_TOL
                 ).result()
-        assert shard_id == 1
         assert np.array_equal(kept, expected)
         assert seconds >= 0.0
 
@@ -164,109 +137,136 @@ class TestShardSkyband:
         assert empty.n_rows == 0
         assert shard_skyband(scores, empty, 2).size == 0
 
+    def test_hash_shard_returns_parent_positions(self):
+        dataset = generate_independent(60, 3, rng=1)
+        scores = dataset.values @ np.array([[0.3, 0.3, 0.4], [0.35, 0.3, 0.35]]).T
+        spec = plan_shards(60, 3, "hash")[2]
+        kept = shard_skyband(scores, spec, 4)
+        assert set(kept.tolist()) <= set(spec.positions().tolist())
+        local = shard_skyband(scores[spec.positions()], plan_shards(spec.n_rows, 1)[0], 4)
+        assert np.array_equal(kept, spec.positions()[local])
+
 
 class TestStaleSpecGuard:
     """Shard specs are planned for one option count; mutation re-plans."""
 
-    def test_shard_dataset_rejects_stale_spec(self):
-        dataset = generate_independent(30, 3, rng=5)
-        spec = plan_shards(30, 3, "contiguous")[0]
-        mutated, _delta = dataset.insert_options(
-            np.random.default_rng(6).random((10, 3))
-        )
-        with pytest.raises(InvalidParameterError):
-            shard_dataset(mutated, spec)  # spec planned for 30, dataset has 40
-        # The spec still applies to the dataset it was planned for.
-        assert shard_dataset(dataset, spec).n_options == spec.n_rows
-
     def test_sharded_engine_replans_after_delta(self):
-        from repro.engine.sharded import ShardedEngine
-
+        """The plan is re-derived per query, so a mutated dataset is covered whole."""
         dataset = generate_independent(24, 3, rng=7)
-        with ShardedEngine(dataset, n_shards=4, executor="serial") as engine:
-            _ = engine.shard_engines  # materialise the stale-prone state
-            old_plan = list(engine.plan)
-            mutated, delta = dataset.insert_options(
-                np.random.default_rng(8).random((16, 3))
-            )
+        region = PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.3, 0.4)])
+        with ShardedPrefilter(4, executor="serial") as shards:
+            engine = TopRREngine(dataset, prefilter=shards)
+            engine.query(3, region)
+            mutated, delta = dataset.insert_options(np.random.default_rng(8).random((16, 3)))
             engine.apply_delta(mutated, delta)
-            assert engine.dataset is mutated
-            assert all(spec.n_options == 40 for spec in engine.plan)
-            assert engine.plan != old_plan
-            # Per-shard engines were dropped and rebuild against the new plan.
-            engines = engine.shard_engines
-            assert sum(e.dataset.n_options for e in engines if e is not None) == 40
+            kept, info = shards.filter(vertex_score_matrix(mutated, region), 3, DEFAULT_TOL)
+        assert np.array_equal(kept, r_skyband(mutated, 3, region))
+        assert len(info["shard_candidates"]) == 4
+        assert info["n_candidates"] == sum(info["shard_candidates"]) >= kept.size
+
+
+class TestShardedPrefilter:
+    def test_rejects_bad_configuration(self):
+        with pytest.raises(InvalidParameterError):
+            ShardedPrefilter(0)
+        with pytest.raises(InvalidParameterError):
+            ShardedPrefilter(2, strategy="roundrobin")
+        with pytest.raises(InvalidParameterError):
+            ShardedPrefilter(2, n_workers=-1)
+
+    def test_process_pool_is_lazy_and_closed_for_good(self):
+        region = PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.3, 0.4)])
+        shards = ShardedPrefilter(2, executor="process")
+        assert shards.health()["alive"] is False  # nothing started yet
+        engine = TopRREngine(generate_independent(300, 3, rng=10), prefilter=shards)
+        engine.query(3, region)
+        health = shards.health()
+        assert health["alive"] is True and health["n_batches"] == 1
+        assert health["executor"] == "process"
+        shards.close()
+        with pytest.raises(EngineClosedError):
+            shards.health()
+        with pytest.raises(EngineClosedError):
+            engine.query(4, region)  # a cold filter would need the pool
+        assert engine.query(3, region).n_vertices >= 0  # cache hits need none
 
 
 class TestClosedEngineSurface:
-    """Satellite contract: every post-close call either stays safe (pure
-    cache reads) or raises the typed :class:`EngineClosedError` — never a
-    hang, a deadlock on a dead pool, or a silent wrong answer.
+    """An engine whose sharded pre-filter is closed: every call either stays
+    safe (cache hits, cache reads, snapshots) or raises the typed
+    :class:`EngineClosedError` — never a hang, a respawned pool, or a silent
+    wrong answer.
     """
+
+    REGION = PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.3, 0.4)])
+    COLD = PreferenceRegion.hyperrectangle([(0.2, 0.3), (0.2, 0.3)])
 
     @pytest.fixture
     def closed_engine(self):
-        from repro.engine.sharded import ShardedEngine
-
         dataset = generate_independent(40, 3, rng=11)
-        engine = ShardedEngine(dataset, n_shards=2, executor="serial", rng=11)
-        region = PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.3, 0.4)])
-        engine.query(3, region)
-        engine.close()
-        return engine, dataset, region
+        shards = ShardedPrefilter(2, executor="serial")
+        engine = TopRREngine(dataset, prefilter=shards, rng=11)
+        engine.query(3, self.REGION)
+        shards.close()
+        return engine, shards, dataset
 
     def test_query_raises_engine_closed(self, closed_engine):
-        engine, _dataset, region = closed_engine
-        with pytest.raises(EngineClosedError, match="closed ShardedEngine"):
-            engine.query(3, region)
+        engine, _shards, _dataset = closed_engine
+        with pytest.raises(EngineClosedError, match="closed ShardedPrefilter"):
+            engine.query(3, self.COLD)
 
     def test_query_batch_raises_engine_closed(self, closed_engine):
-        engine, _dataset, region = closed_engine
+        engine, _shards, _dataset = closed_engine
         with pytest.raises(EngineClosedError):
-            engine.query_batch([(3, region)])
+            engine.query_batch([(3, self.COLD)])
 
     def test_warm_raises_engine_closed(self, closed_engine):
-        engine, _dataset, region = closed_engine
+        engine, _shards, _dataset = closed_engine
         with pytest.raises(EngineClosedError):
-            engine.warm([3], [region])
+            engine.warm([3], [self.COLD])
 
-    def test_apply_delta_raises_engine_closed(self, closed_engine):
-        engine, dataset, _region = closed_engine
-        mutated, delta = dataset.insert_options(
-            np.random.default_rng(12).random((2, 3))
-        )
+    def test_cold_query_after_apply_delta_raises_engine_closed(self, closed_engine):
+        engine, _shards, dataset = closed_engine
+        # Near-corner inserts enter the band, so the cached entry is evicted
+        # and the re-query needs a filter run.
+        mutated, delta = dataset.insert_options(np.full((2, 3), 0.99))
+        engine.apply_delta(mutated, delta)
         with pytest.raises(EngineClosedError):
-            engine.apply_delta(mutated, delta)
+            engine.query(3, self.REGION)
 
     def test_pool_health_raises_engine_closed(self, closed_engine):
-        engine, _dataset, _region = closed_engine
+        _engine, shards, _dataset = closed_engine
         with pytest.raises(EngineClosedError):
-            engine.pool_health()
+            shards.health()
 
-    def test_load_caches_raises_engine_closed(self, closed_engine, tmp_path):
-        engine, _dataset, _region = closed_engine
-        path = tmp_path / "caches.json"
-        path.write_text("{}")
-        with pytest.raises(EngineClosedError):
-            engine.load_caches(path)
+    def test_load_caches_serves_hits_without_the_pool(self, closed_engine, tmp_path):
+        engine, shards, dataset = closed_engine
+        path = engine.save_caches(tmp_path / "caches.json")
+        restored = TopRREngine(dataset, prefilter=shards, rng=11)
+        restored.load_caches(path)
+        expected = engine.query(3, self.REGION)
+        answer = restored.query(3, self.REGION)
+        assert answer.vertices_reduced.tobytes() == expected.vertices_reduced.tobytes()
+        assert restored.cache_info()["results"]["hits"] == 1
 
     def test_cache_reads_stay_usable_after_close(self, closed_engine, tmp_path):
-        engine, _dataset, region = closed_engine
+        engine, _shards, _dataset = closed_engine
         info = engine.cache_info()
-        assert info["merged"]["results"]["currsize"] >= 1
-        assert engine.cached_result(3, region, engine.method) is not None
+        assert info["results"]["currsize"] >= 1
+        assert engine.cached_result(3, self.REGION, engine.method) is not None
+        assert engine.query(3, self.REGION) is engine.cached_result(3, self.REGION, "tas*")
         path = engine.save_caches(tmp_path / "caches.json")
         assert path.exists()
         engine.clear_caches()
-        assert engine.cached_result(3, region, engine.method) is None
+        assert engine.cached_result(3, self.REGION, engine.method) is None
 
     def test_close_is_idempotent(self, closed_engine):
-        engine, _dataset, _region = closed_engine
-        engine.close()  # second close must not raise
+        engine, shards, _dataset = closed_engine
+        shards.close()  # second close must not raise
         with pytest.raises(EngineClosedError):
-            engine.query(3, PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.3, 0.4)]))
+            engine.query(3, self.COLD)
 
     def test_error_type_is_catchable_as_repro_error(self, closed_engine):
-        engine, _dataset, _region = closed_engine
+        _engine, shards, _dataset = closed_engine
         with pytest.raises(ReproError):
-            engine.pool_health()
+            shards.health()

@@ -6,7 +6,7 @@ Covers the durable warm-cache contract end to end:
   answers its recorded query mix byte-identically, with first-query cache
   hits, at d=3 and d=4 and with the prefilter on or off;
 * **state coverage** — empty caches, post-mutation caches, skyband-only
-  restores;
+  restores, and cross-loads between sharded-prefilter and plain engines;
 * **refusals** — truncated and corrupt files, base64/array rot, newer
   snapshot versions, mismatched datasets and prefilter modes all raise the
   typed :class:`~repro.exceptions.SerializationError` instead of restoring
@@ -28,8 +28,9 @@ from repro.core.serialization import (
     save_engine_snapshot,
     snapshot_engine,
 )
+from repro.core.sharded import ShardedPrefilter
 from repro.data.generators import generate_synthetic
-from repro.engine import ShardedEngine, TopRREngine
+from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError, SerializationError
 from repro.preference.random_regions import random_hypercube_region
 
@@ -150,39 +151,33 @@ class TestRoundTrip:
 
 
 class TestShardedDelegation:
-    def test_sharded_save_then_unsharded_restore(self, tmp_path):
+    """A sharded pre-filter changes no snapshot byte: replicas of either kind
+    restore each other's snapshots and answer them from cache."""
+
+    @staticmethod
+    def _roundtrip(tmp_path, shards, save_sharded):
         dataset = generate_synthetic("IND", 80, 3, rng=9)
-        sharded = ShardedEngine(dataset, n_shards=2, executor="serial", rng=9)
-        try:
-            pairs = _workload(3, seed=9, n_pairs=2)
-            results = [sharded.query(k, region) for k, region in pairs]
-            path = sharded.save_caches(tmp_path / "sharded.json")
-        finally:
-            sharded.close()
-        restored = TopRREngine(dataset, rng=9)
+        pairs = _workload(3, seed=9, n_pairs=3)
+        saver = TopRREngine(dataset, rng=9, prefilter=shards if save_sharded else True)
+        results = [saver.query(k, region) for k, region in pairs]
+        path = saver.save_caches(tmp_path / "caches.json")
+        restored = TopRREngine(dataset, rng=9, prefilter=True if save_sharded else shards)
         counts = restored.load_caches(path)
-        assert counts["result_entries"] == len(pairs)
-        for (k, region), expected in zip(pairs, results):
-            answer = restored.query(k, region)
-            assert answer.vertices_reduced.tobytes() == expected.vertices_reduced.tobytes()
+        assert counts["result_entries"] == counts["skyband_entries"] == len(pairs)
+        _assert_parity(saver, restored, pairs, results)
+        assert restored.cache_info()["skyband"]["misses"] == 0
+
+    def test_sharded_save_then_unsharded_restore(self, tmp_path):
+        with ShardedPrefilter(2, executor="serial") as shards:
+            self._roundtrip(tmp_path, shards, save_sharded=True)
 
     def test_sharded_restore_short_circuits_the_fanout(self, tmp_path):
-        dataset = generate_synthetic("IND", 80, 3, rng=9)
-        pairs = _workload(3, seed=9, n_pairs=2)
-        first = ShardedEngine(dataset, n_shards=2, executor="serial", rng=9)
-        try:
-            results = [first.query(k, region) for k, region in pairs]
-            path = first.save_caches(tmp_path / "sharded.json")
-        finally:
-            first.close()
-        second = ShardedEngine(dataset, n_shards=2, executor="serial", rng=9)
-        try:
-            second.load_caches(path)
-            for (k, region), expected in zip(pairs, results):
-                answer = second.query(k, region)
-                assert answer.vertices_reduced.tobytes() == expected.vertices_reduced.tobytes()
-        finally:
-            second.close()
+        # A plain replica's snapshot restores into a sharded one, which then
+        # answers the recorded mix without ever starting its worker pool.
+        with ShardedPrefilter(2, executor="process") as shards:
+            self._roundtrip(tmp_path, shards, save_sharded=False)
+            assert shards.health()["alive"] is False
+            assert shards.health()["n_batches"] == 0
 
 
 class TestRefusals:
