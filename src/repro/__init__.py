@@ -5,7 +5,7 @@ Tang, Mouratidis, Yiu and Chen.  It provides:
 
 * the computational-geometry substrate needed by the paper (convex
   polytopes, halfspace intersection, LP/QP helpers),
-* the top-k query machinery and the pruning filters evaluated in the paper
+* the top-k query machinery and the four pruning filters Figure 8 evaluates
   (k-skyband, k-onion layers, r-skyband, UTK),
 * the TopRR algorithms themselves: the PAC baseline, TAS, and the optimized
   TAS* with consistent-top pruning (Lemma 5), optimized region testing
@@ -15,7 +15,9 @@ Tang, Mouratidis, Yiu and Chen.  It provides:
   binds a dataset once and serves repeated / batched queries with
   cross-query caching,
 * an experiment harness regenerating every figure and table of the paper's
-  evaluation section.
+  evaluation section,
+* the monochromatic reverse top-k query, kept as an oracle that shares none
+  of TopRR's kernels.
 
 Quickstart
 ----------

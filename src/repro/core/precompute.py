@@ -12,9 +12,9 @@ to pre-computation are (i) the dominance-based filtering of the dataset and
   once; since the r-skyband of *any* region for any ``k <= k_max`` is a
   subset of it, per-query filtering only needs to scan that (much smaller)
   set instead of the full dataset;
-* it memoises query results keyed by ``(k, region fingerprint, method)``, so
-  interactive workloads that revisit the same clientele pay the solver cost
-  once.
+* it memoises query results keyed by ``(k, region fingerprint, method)`` in
+  a bounded LRU, so interactive workloads that revisit the same clientele
+  pay the solver cost once while memory stays constant.
 
 Results are exactly those of :func:`repro.core.toprr.solve_toprr` — the
 pre-computation only changes where the candidate options come from, not
@@ -24,16 +24,21 @@ top-k result, Section 6.3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.toprr import SolverLike, TopRRResult, solve_toprr
 from repro.data.dataset import Dataset
+from repro.engine.cache import MISSING, LRUCache
 from repro.engine.fingerprint import region_fingerprint  # noqa: F401  (canonical home)
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.topk.skyband import k_skyband
 from repro.utils.timer import Timer
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
+
+#: Bound of the result cache: the same as ``TopRREngine``'s default
+#: ``result_cache_size``.
+RESULT_CACHE_SIZE = 64
 
 
 class PrecomputedTopRR:
@@ -74,9 +79,7 @@ class PrecomputedTopRR:
             self._skyband_indices, name=f"{dataset.name}[{self.k_max}-skyband]"
         )
         self.precompute_seconds = timer.stop()
-        self._cache: Dict[Tuple, TopRRResult] = {}
-        self.n_cache_hits = 0
-        self.n_cache_misses = 0
+        self._cache = LRUCache(RESULT_CACHE_SIZE)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -93,11 +96,8 @@ class PrecomputedTopRR:
 
     def cache_info(self) -> dict:
         """Hit/miss counters of the result cache."""
-        return {
-            "hits": self.n_cache_hits,
-            "misses": self.n_cache_misses,
-            "entries": len(self._cache),
-        }
+        info = self._cache.info()
+        return {"hits": info.hits, "misses": info.misses, "entries": info.currsize}
 
     # ------------------------------------------------------------------ #
     # queries
@@ -128,10 +128,8 @@ class PrecomputedTopRR:
         if use_cache and isinstance(method, str):
             key = (int(k), method, region_fingerprint(region))
             cached = self._cache.get(key)
-            if cached is not None:
-                self.n_cache_hits += 1
+            if cached is not MISSING:
                 return cached
-        self.n_cache_misses += 1
 
         solved = solve_toprr(self._skyband, k, region, method=method, tol=self.tol)
         # Re-anchor the result on the full dataset so that option-level
@@ -151,7 +149,7 @@ class PrecomputedTopRR:
             tol=self.tol,
         )
         if key is not None:
-            self._cache[key] = result
+            self._cache.put(key, result.make_read_only())
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -558,7 +558,7 @@ def restore_engine(engine, payload: dict) -> dict:
                 tol=tol,
             )
             engine._result_cache.put(
-                (k, fingerprint, str(entry["method_key"])), result
+                (k, fingerprint, str(entry["method_key"])), result.make_read_only()
             )
             counts["result_entries"] += 1
 

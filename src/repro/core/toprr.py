@@ -95,6 +95,18 @@ class TopRRResult:
         self.method = method
         self._tol = tol
 
+    def make_read_only(self) -> "TopRRResult":
+        """Freeze ``V_all``, the lifted weights, the thresholds and ``oR``.
+
+        Called where a result enters a result cache, which hands the same
+        object to every later hit: a caller writing into its arrays then
+        gets a ``ValueError`` instead of poisoning those hits.
+        """
+        for array in (self.vertices_reduced, self.full_weights, self.thresholds):
+            array.setflags(write=False)
+        self.polytope.make_read_only()
+        return self
+
     # ------------------------------------------------------------------ #
     # membership and geometry
     # ------------------------------------------------------------------ #

@@ -354,9 +354,11 @@ class TopRREngine:
 
         Identical in contract to :func:`repro.core.toprr.solve_toprr`; when
         the same ``(k, region, method)`` was answered recently, the cached
-        :class:`TopRRResult` object is returned as-is.  ``method`` may also
-        be any solver object with the ``partition(filtered, k, region,
-        stats, working, score_memo)`` protocol — e.g. a
+        :class:`TopRRResult` object is returned as-is; its arrays are
+        read-only, so no caller can change what later hits see.
+        ``method`` may also be any solver object with the
+        ``partition(filtered, k, region, stats, working, score_memo)``
+        protocol — e.g. a
         :class:`~repro.core.parallel.RegionParallelSolver` runs
         region-parallel TAS* on this engine's cached r-skyband.
         """
@@ -409,7 +411,7 @@ class TopRREngine:
             tol=self.tol,
         )
         if result_key is not None:
-            self._result_cache.put(result_key, result)
+            self._result_cache.put(result_key, result.make_read_only())
         return result
 
     def query_batch(

@@ -11,10 +11,7 @@ future-work directions its conclusion names:
 * :func:`ablation_parallel` — speed-up and answer-equivalence of the
   chop-``wR``-and-merge parallel solver;
 * :func:`ablation_precompute` — amortised cost of repeated queries with and
-  without the per-dataset pre-computation;
-* :func:`substrate_engines` — the access-cost profile of the three top-k
-  engines (full scan, branch-and-bound over the R-tree, threshold merging),
-  documenting the substrate the filtering layer builds on.
+  without the per-dataset pre-computation.
 
 Each runner follows the same conventions as :mod:`repro.experiments.figures`:
 it returns a list of flat row dictionaries ready for
@@ -33,10 +30,6 @@ from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
 from repro.experiments.config import Scale, defaults
 from repro.experiments.workloads import make_dataset, make_queries
-from repro.index import RTree
-from repro.topk.branch_and_bound import branch_and_bound_top_k, node_access_count
-from repro.topk.query import top_k
-from repro.topk.threshold import AccessStatistics, SortedListIndex, threshold_algorithm
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
@@ -207,69 +200,12 @@ def ablation_precompute(
     ]
 
 
-# --------------------------------------------------------------------------- #
-# Top-k engine substrate profile
-# --------------------------------------------------------------------------- #
-def substrate_engines(scale: Scale = Scale.SCALED, n_weights: int = 5) -> List[dict]:
-    """Access-cost comparison of the top-k engines on the default dataset.
-
-    One row per engine, averaged over ``n_weights`` random weight vectors:
-    the fraction of the dataset (or index) each engine touches before it can
-    stop, and confirmation that all engines return the reference answer.
-    """
-    scale = Scale.parse(scale)
-    base = defaults(scale)
-    dataset = make_dataset(scale)
-    k = base.k
-    rng = ensure_rng(base.seed)
-    weights = rng.random((n_weights, dataset.n_attributes)) + 0.05
-    weights = weights / weights.sum(axis=1, keepdims=True)
-
-    tree = RTree(dataset.values)
-    lists = SortedListIndex.build(dataset)
-
-    bnb_nodes, ta_depth, agreements = [], [], []
-    for weight in weights:
-        reference = top_k(dataset, weight, k)
-        bnb = branch_and_bound_top_k(dataset, weight, k, tree=tree)
-        stats = AccessStatistics()
-        ta = threshold_algorithm(dataset, weight, k, index=lists, stats=stats)
-        bnb_nodes.append(node_access_count(dataset, weight, k, tree=tree))
-        ta_depth.append(stats.depth)
-        agreements.append(
-            bnb.indices.tolist() == reference.indices.tolist()
-            and ta.index_set == reference.index_set
-        )
-
-    return [
-        {
-            "engine": "full scan (reference)",
-            "touched": dataset.n_options,
-            "touched_fraction": 1.0,
-            "agrees_with_reference": True,
-        },
-        {
-            "engine": "branch-and-bound (R-tree)",
-            "touched": round(float(np.mean(bnb_nodes)), 1),
-            "touched_fraction": round(float(np.mean(bnb_nodes)) / tree.node_count(), 4),
-            "agrees_with_reference": bool(all(agreements)),
-        },
-        {
-            "engine": "threshold algorithm (sorted lists)",
-            "touched": round(float(np.mean(ta_depth)), 1),
-            "touched_fraction": round(float(np.mean(ta_depth)) / dataset.n_options, 4),
-            "agrees_with_reference": bool(all(agreements)),
-        },
-    ]
-
-
 #: Registry of the extension experiments, mirroring ``EXPERIMENTS`` in
 #: :mod:`repro.experiments.figures`.
 ABLATIONS: Dict[str, Callable[..., List[dict]]] = {
     "ablation_sampling": ablation_sampling,
     "ablation_parallel": ablation_parallel,
     "ablation_precompute": ablation_precompute,
-    "substrate_engines": substrate_engines,
 }
 
 

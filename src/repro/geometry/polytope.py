@@ -243,6 +243,7 @@ class ConvexPolytope:
         self._chebyshev: Optional[Tuple[Optional[np.ndarray], float]] = None
         self._incidence: Optional[np.ndarray] = None
         self._backend_health: Optional[bool] = None
+        self._read_only = False
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -300,6 +301,18 @@ class ConvexPolytope:
     def halfspaces(self) -> Tuple[np.ndarray, np.ndarray]:
         """H-representation ``(A, b)`` with ``A x <= b`` (copies)."""
         return self._A.copy(), self._b.copy()
+
+    def make_read_only(self) -> None:
+        """Freeze ``(A, b)`` and the vertices, including ones enumerated later.
+
+        For bodies shared between callers (cached query answers): a caller
+        writing into them gets a ``ValueError`` instead of changing what
+        every later holder sees.
+        """
+        self._read_only = True
+        for array in (self._A, self._b, self._vertices):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def tol(self) -> Tolerance:
@@ -445,6 +458,8 @@ class ConvexPolytope:
                     self._A, self._b, interior_point=None if self.dimension == 1 else center,
                     tol=self._tol,
                 )
+            if self._read_only:
+                self._vertices.setflags(write=False)
         return self._vertices
 
     @property

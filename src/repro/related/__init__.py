@@ -1,49 +1,32 @@
-"""Related preference-space queries the paper positions TopRR against.
+"""Related preference-space queries: reverse top-k (an oracle) and regret sets.
 
-Section 2 of the paper surveys a family of queries that share TopRR's
-machinery (linear scores, preference-space halfspaces, dominance) but answer
-different questions.  This package implements the ones that are either used
-as building blocks, compared against, or needed to validate the TopRR output:
+Section 2 of the paper surveys queries that share TopRR's machinery (linear
+scores, preference-space halfspaces, dominance) but answer different
+questions.  Of the reverse top-k family only the monochromatic query
+(Vlachou et al. [44], Tang et al. [41]) is kept here: it fixes the option and asks which
+preferences it wins, the converse of TopRR.  Its rank-bracketing
+test-and-split shares none of TopRR's kernels (no r-skyband, no Lemma 5/7
+profiles, no impact region), so
+:func:`~repro.related.reverse_topk.reverse_top_k_contains_region` is an
+independent check that an option placed inside ``oR`` is top-k over all of
+``wR``.
 
-* :mod:`repro.related.reverse_topk` — the monochromatic reverse top-k query
-  (Vlachou et al. [44], Tang et al. [41]): all parts of the preference space
-  where a given option ranks among the top-k; plus the bichromatic variant
-  over a finite set of weight vectors.
-* :mod:`repro.related.maximum_rank` — the maximum-rank query (Mouratidis et
-  al. [31]): the best rank an option can achieve anywhere in a preference
-  region.
-* :mod:`repro.related.why_not` — why-not top-k (He & Lo [21]) and the
-  why-not reverse top-k adaptation (Liu et al. [26]) that Section 2.1
-  discusses as the (inexact) sampled alternative to TopRR.
-* :mod:`repro.related.regret` — regret-minimizing representative sets
-  (Nanongkai et al. [32]), the subset-selection family Section 2.2 relates
-  TopRR to.
+:mod:`repro.related.regret` (regret-minimizing representative sets,
+Nanongkai et al. [32], the subset-selection family of Section 2.2) also
+stays: it is small, self-contained and covered by its own tests.
 """
 
-from repro.related.maximum_rank import MaximumRankResult, maximum_rank
 from repro.related.regret import greedy_regret_set, max_regret_ratio
 from repro.related.reverse_topk import (
     ReverseTopKResult,
-    bichromatic_reverse_top_k,
     monochromatic_reverse_top_k,
-)
-from repro.related.why_not import (
-    WhyNotOptionAnswer,
-    WhyNotWeightAnswer,
-    why_not_option_modification,
-    why_not_weight_perturbation,
+    reverse_top_k_contains_region,
 )
 
 __all__ = [
     "ReverseTopKResult",
     "monochromatic_reverse_top_k",
-    "bichromatic_reverse_top_k",
-    "MaximumRankResult",
-    "maximum_rank",
-    "WhyNotOptionAnswer",
-    "WhyNotWeightAnswer",
-    "why_not_option_modification",
-    "why_not_weight_perturbation",
+    "reverse_top_k_contains_region",
     "greedy_regret_set",
     "max_regret_ratio",
 ]

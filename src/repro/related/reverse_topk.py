@@ -9,9 +9,6 @@ it wins — and the two are tightly linked (an option placed inside ``oR``
 must have a reverse top-k region that covers all of ``wR``), which the test
 suite exploits as a correctness cross-check.
 
-The *bichromatic* variant restricts attention to a finite set of customer
-weight vectors and simply reports those whose top-k contains ``q``.
-
 The monochromatic algorithm is a rank-oriented test-and-split: for a region,
 options that beat ``q`` at every vertex beat it everywhere (Lemma 1), so the
 rank of ``q`` is bracketed by the "beats everywhere" and "beats somewhere"
@@ -242,40 +239,6 @@ def monochromatic_reverse_top_k(
             stack.append(child)
 
     return result
-
-
-def bichromatic_reverse_top_k(
-    dataset: Dataset,
-    option: Sequence[float],
-    k: int,
-    weight_vectors: np.ndarray,
-    exclude_index: Optional[int] = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Indices of the full ``weight_vectors`` whose top-k result contains ``option``.
-
-    This is the original bichromatic formulation of [44]: the customer
-    population is a finite set ``Q`` of weight vectors, and the query reports
-    the customers for whom ``option`` would appear in the top-k.
-    """
-    option = np.asarray(option, dtype=float)
-    weight_vectors = np.atleast_2d(np.asarray(weight_vectors, dtype=float))
-    if weight_vectors.shape[1] != dataset.n_attributes:
-        raise InvalidParameterError("weight vectors must match the dataset dimensionality")
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-
-    competitor_values = dataset.values
-    if exclude_index is not None:
-        keep = np.ones(dataset.n_options, dtype=bool)
-        keep[exclude_index] = False
-        competitor_values = competitor_values[keep]
-
-    competitor_scores = competitor_values @ weight_vectors.T
-    query_scores = weight_vectors @ option
-    beating = competitor_scores > query_scores[None, :] + tol.score
-    ranks = 1 + beating.sum(axis=0)
-    return np.flatnonzero(ranks <= k)
 
 
 def reverse_top_k_contains_region(

@@ -1,21 +1,13 @@
 """Top-k query substrate.
 
-Scoring, exact top-k retrieval, k-skybands, onion layers, and the two
-classical processing strategies the paper cites (Section 2): branch-and-bound
-over a spatial index and threshold merging over sorted lists.
+Scoring, exact top-k retrieval, k-skybands and onion layers: the pieces the
+TopRR pipeline and Figure 8's k-skyband and k-onion filters are built from.
 """
 
 from repro.topk.query import TopKResult, top_k, top_k_score, rank_of
 from repro.topk.scoring import linear_scores
 from repro.topk.skyband import k_skyband, dominance_count
 from repro.topk.onion import k_onion_layers
-from repro.topk.branch_and_bound import branch_and_bound_top_k, incremental_top
-from repro.topk.threshold import (
-    AccessStatistics,
-    SortedListIndex,
-    no_random_access_algorithm,
-    threshold_algorithm,
-)
 
 __all__ = [
     "TopKResult",
@@ -26,10 +18,4 @@ __all__ = [
     "k_skyband",
     "dominance_count",
     "k_onion_layers",
-    "branch_and_bound_top_k",
-    "incremental_top",
-    "threshold_algorithm",
-    "no_random_access_algorithm",
-    "SortedListIndex",
-    "AccessStatistics",
 ]

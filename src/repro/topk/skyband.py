@@ -26,7 +26,14 @@ from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 
 def skyband_of_values(values: np.ndarray, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Positional indices of the k-skyband of a raw ``(n, d)`` value matrix."""
+    """Positional indices of the k-skyband of a raw ``(n, d)`` value matrix.
+
+    Exact on exact ties and duplicates and on generic data.  Under near-ties
+    (coordinates within ``tol.geometry`` of each other) ``eps``-dominance is
+    not transitive, so counting dominators against the band alone may miss
+    some: the band may then hold more options than the definition gives,
+    never fewer.  Extra options only cost filter work, never answers.
+    """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
     values = np.asarray(values, dtype=float)

@@ -8,7 +8,6 @@ from repro.experiments.ablations import (
     ablation_precompute,
     ablation_sampling,
     run_ablation,
-    substrate_engines,
 )
 from repro.experiments.config import Scale
 
@@ -34,23 +33,13 @@ class TestAblationRunners:
         assert precomputed["candidate_options"] <= direct["candidate_options"]
         assert precomputed["answers_match"]
 
-    def test_substrate_rows(self):
-        rows = substrate_engines(Scale.SMOKE, n_weights=2)
-        assert {row["engine"] for row in rows} == {
-            "full scan (reference)",
-            "branch-and-bound (R-tree)",
-            "threshold algorithm (sorted lists)",
-        }
-        assert all(row["agrees_with_reference"] for row in rows)
-
     def test_registry_and_dispatch(self):
         assert set(ABLATIONS) == {
             "ablation_sampling",
             "ablation_parallel",
             "ablation_precompute",
-            "substrate_engines",
         }
-        rows = run_ablation("substrate_engines", Scale.SMOKE, n_weights=1)
-        assert rows
+        rows = run_ablation("ablation_precompute", Scale.SMOKE, n_repeated_queries=2)
+        assert [row["n_queries"] for row in rows] == [2, 2]
         with pytest.raises(KeyError):
             run_ablation("does_not_exist", Scale.SMOKE)

@@ -56,11 +56,11 @@ class TestCli:
         assert "ablation_sampling" in out
 
     def test_run_ablation_by_name(self, capsys):
-        code = main(["run", "substrate_engines", "--scale", "smoke"])
+        code = main(["run", "ablation_sampling", "--scale", "smoke"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "substrate_engines" in out
-        assert "branch-and-bound" in out
+        assert "ablation_sampling" in out
+        assert "false_accept_rate" in out
 
 
 class TestMutateCli:

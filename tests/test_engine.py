@@ -194,6 +194,31 @@ class TestEngineQuery:
         assert first is not second
         assert first.n_vertices == second.n_vertices
 
+    @pytest.mark.parametrize("restored", [False, True], ids=["solved", "snapshot"])
+    def test_cached_result_cannot_be_poisoned(self, catalogue, regions, restored, tmp_path):
+        engine = TopRREngine(catalogue)
+        first = engine.query(5, regions[0])
+        fresh = engine.query(5, regions[0], use_cache=False)
+        if restored:
+            path = engine.save_caches(tmp_path / "caches.json")
+            engine = TopRREngine(catalogue)
+            engine.load_caches(path)
+            first = engine.query(5, regions[0])
+        assert first.contains([0.95, 0.95, 0.95])
+        for array in (
+            first.thresholds,
+            first.vertices_reduced,
+            first.full_weights,
+            first.option_region_vertices,
+        ):
+            with pytest.raises(ValueError):
+                array[:] = 99.0
+        hit = engine.query(5, regions[0])
+        assert hit is first
+        for name in ("thresholds", "vertices_reduced", "full_weights", "option_region_vertices"):
+            assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert hit.contains([0.95, 0.95, 0.95])
+
     def test_validation_matches_solve_toprr(self, catalogue, regions):
         engine = TopRREngine(catalogue)
         with pytest.raises(InvalidParameterError):

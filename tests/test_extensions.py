@@ -1,6 +1,7 @@
 """Tests for the core extensions: sampled baseline, parallel solving, pre-computation."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.core.parallel import (
     solve_toprr_parallel,
     split_region_into_boxes,
 )
-from repro.core.precompute import PrecomputedTopRR, region_fingerprint
+from repro.core.precompute import RESULT_CACHE_SIZE, PrecomputedTopRR, region_fingerprint
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
@@ -193,6 +194,20 @@ class TestPrecomputedTopRR:
         # A different k is a different cache entry.
         index.solve(6, region)
         assert index.cache_info()["entries"] == 2
+
+    def test_result_cache_is_bounded(self):
+        bound = inspect.signature(TopRREngine).parameters["result_cache_size"].default
+        assert RESULT_CACHE_SIZE == bound
+        index = PrecomputedTopRR(generate_independent(60, 3, rng=5), k_max=2)
+        for i in range(RESULT_CACHE_SIZE + 6):
+            low = 0.2 + 0.002 * i
+            index.solve(1, PreferenceRegion.hyperrectangle([(low, low + 0.05), (0.3, 0.35)]))
+        info = index.cache_info()
+        assert info["entries"] == RESULT_CACHE_SIZE
+        assert info["misses"] == RESULT_CACHE_SIZE + 6
+        result = index.solve(1, PreferenceRegion.hyperrectangle([(0.2, 0.25), (0.3, 0.35)]))
+        with pytest.raises(ValueError):
+            result.thresholds[0] = 0
 
     def test_existing_options_reported_in_original_indices(self, market, region):
         index = PrecomputedTopRR(market, k_max=10)

@@ -1,12 +1,8 @@
-"""Tests for the related-query package (reverse top-k, maximum rank, why-not).
+"""Tests for the monochromatic reverse top-k query.
 
-Besides exercising each query on its own, these tests cross-check the
-queries against each other and against TopRR:
-
-* an option placed inside ``oR`` must have a reverse top-k region covering
-  all of ``wR``;
-* the maximum-rank witness must actually attain the reported rank;
-* why-not answers must bring the option into the top-k at the reported cost.
+Besides checking the query's cells against pointwise ranks, these tests use
+it as an oracle for TopRR: an option placed inside ``oR`` must have a
+reverse top-k region covering all of ``wR``.
 """
 
 import numpy as np
@@ -19,18 +15,11 @@ from repro.core.toprr import solve_toprr
 from repro.data.dataset import Dataset
 from repro.data.examples import figure1_dataset
 from repro.data.generators import generate_independent
-from repro.exceptions import InfeasibleProblemError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
-from repro.related import (
-    bichromatic_reverse_top_k,
-    maximum_rank,
-    monochromatic_reverse_top_k,
-    why_not_option_modification,
-    why_not_weight_perturbation,
-)
-from repro.related.reverse_topk import reverse_top_k_contains_region
-from repro.topk.query import rank_of, top_k
+from repro.related import monochromatic_reverse_top_k, reverse_top_k_contains_region
+from repro.topk.query import rank_of
 
 
 @pytest.fixture(scope="module")
@@ -108,136 +97,6 @@ class TestMonochromaticReverseTopK:
             monochromatic_reverse_top_k(
                 market, np.full(3, 0.5), 3, region=PreferenceRegion.interval(0.2, 0.4)
             )
-
-
-class TestBichromaticReverseTopK:
-    def test_matches_per_vector_topk(self, market):
-        rng = np.random.default_rng(11)
-        raw = rng.random((50, 3)) + 0.05
-        weights = raw / raw.sum(axis=1, keepdims=True)
-        option = np.array([0.85, 0.6, 0.55])
-        k = 15
-        answer = set(bichromatic_reverse_top_k(market, option, k, weights).tolist())
-        for index, weight in enumerate(weights):
-            expected = rank_of(market, weight, option) <= k
-            assert (index in answer) == expected
-
-    def test_existing_option_excluded_from_competition(self):
-        data = figure1_dataset()
-        weights = np.array([[0.5, 0.5], [0.9, 0.1]])
-        answer = bichromatic_reverse_top_k(data, data.values[0], 1, weights, exclude_index=0)
-        # p1 = (0.9, 0.4) is the top-1 for the performance-heavy customer.
-        assert 1 in answer.tolist()
-
-    def test_dimension_mismatch(self, market):
-        with pytest.raises(InvalidParameterError):
-            bichromatic_reverse_top_k(market, np.full(3, 0.5), 3, np.ones((4, 2)))
-
-
-class TestMaximumRank:
-    def test_witness_attains_the_reported_rank(self, market):
-        option = np.array([0.7, 0.6, 0.65])
-        answer = maximum_rank(market, option)
-        attained = rank_of(market, answer.witness_full, option)
-        assert attained == answer.best_rank
-
-    def test_rank_is_minimal_over_samples(self, market):
-        option = np.array([0.7, 0.6, 0.65])
-        answer = maximum_rank(market, option)
-        rng = np.random.default_rng(23)
-        region = PreferenceRegion.full_simplex(3)
-        for reduced in region.sample_weights(300, rng):
-            space = PreferenceSpace(3)
-            assert rank_of(market, space.to_full(reduced), option) >= answer.best_rank
-
-    def test_dominant_option_has_rank_one(self, market):
-        answer = maximum_rank(market, np.array([0.99, 0.99, 0.99]))
-        assert answer.best_rank == 1
-
-    def test_restricting_the_region_cannot_improve_the_rank(self, market):
-        option = np.array([0.75, 0.5, 0.6])
-        everywhere = maximum_rank(market, option)
-        narrow = maximum_rank(
-            market, option, region=PreferenceRegion.hyperrectangle([(0.4, 0.45), (0.4, 0.45)])
-        )
-        assert narrow.best_rank >= everywhere.best_rank
-
-    def test_existing_option_not_its_own_competitor(self):
-        data = figure1_dataset()
-        answer = maximum_rank(data, data.values[0], exclude_index=0)
-        assert answer.best_rank == 1  # p1 is top-1 for performance-only preferences
-
-    def test_input_validation(self, market):
-        with pytest.raises(InvalidParameterError):
-            maximum_rank(market, np.array([0.5, 0.5]))
-
-
-class TestWhyNotOption:
-    def test_modification_reaches_the_topk(self, market):
-        weight = np.array([0.4, 0.35, 0.25])
-        option = np.array([0.3, 0.3, 0.3])
-        answer = why_not_option_modification(market, option, weight, 10)
-        assert answer.rank_before > 10
-        assert answer.rank_after <= 10
-        assert answer.cost > 0
-
-    def test_already_qualified_option_unchanged(self, market):
-        weight = np.array([0.4, 0.35, 0.25])
-        option = np.array([0.99, 0.99, 0.99])
-        answer = why_not_option_modification(market, option, weight, 10)
-        assert answer.cost == 0.0
-        assert np.array_equal(answer.modified, option)
-
-    def test_modification_is_minimal(self, market):
-        """Any cheaper modification along any direction must miss the top-k."""
-        weight = np.array([0.4, 0.35, 0.25])
-        option = np.array([0.3, 0.3, 0.3])
-        answer = why_not_option_modification(market, option, weight, 10)
-        threshold = top_k(market, weight, 10).threshold
-        assert float(answer.modified @ weight) == pytest.approx(threshold, abs=1e-9)
-        shortened = option + 0.95 * (answer.modified - option)
-        assert rank_of(market, weight, shortened) > 10
-
-    def test_figure1_enhancement(self):
-        data = figure1_dataset()
-        weight = np.array([0.5, 0.5])
-        answer = why_not_option_modification(
-            data, data.values[5], weight, 2, exclude_index=5
-        )
-        assert answer.rank_after <= 2
-
-
-class TestWhyNotWeight:
-    def test_perturbation_reaches_the_topk(self, market):
-        # A battery specialist queried with a performance-heavy weight vector:
-        # it is far outside the top-10 originally but wins for battery-leaning
-        # preferences, so a feasible (non-trivial) perturbation exists.
-        weight = np.array([0.7, 0.15, 0.15])
-        option = np.array([0.3, 0.99, 0.3])
-        answer = why_not_weight_perturbation(market, option, weight, 10)
-        assert answer.rank_before > 10
-        assert answer.rank_after <= 10
-        assert answer.distance > 0
-
-    def test_zero_distance_when_already_in_topk(self, market):
-        weight = np.array([0.3, 0.4, 0.3])
-        option = np.array([0.99, 0.99, 0.99])
-        answer = why_not_weight_perturbation(market, option, weight, 5)
-        assert answer.distance == pytest.approx(0.0, abs=1e-9)
-
-    def test_infeasible_when_option_never_wins(self):
-        data = figure1_dataset()
-        with pytest.raises(InfeasibleProblemError):
-            why_not_weight_perturbation(
-                data, data.values[5], np.array([0.5, 0.5]), 3, exclude_index=5
-            )
-
-    def test_distance_shrinks_with_larger_k(self, market):
-        weight = np.array([0.7, 0.15, 0.15])
-        option = np.array([0.3, 0.99, 0.3])
-        tight = why_not_weight_perturbation(market, option, weight, 5)
-        loose = why_not_weight_perturbation(market, option, weight, 25)
-        assert loose.distance <= tight.distance + 1e-9
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
@@ -9,6 +11,7 @@ from repro.topk.onion import k_onion_layers, onion_layer_assignment
 from repro.topk.query import rank_of, top_k, top_k_from_scores, top_k_score
 from repro.topk.scoring import linear_scores, linear_scores_many, score_difference_affine
 from repro.topk.skyband import dominance_count, k_skyband, skyband_of_values, skyline
+from repro.utils.tolerance import DEFAULT_TOL
 
 
 class TestScoring:
@@ -132,6 +135,52 @@ class TestSkyband:
     def test_duplicates_do_not_dominate_each_other(self):
         values = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert skyband_of_values(values, 1).tolist() == [0, 1]
+
+
+def _brute_force_dominator_counts(values: np.ndarray, eps: float) -> np.ndarray:
+    """O(n^2) pairwise dominator count under the kernel's ``eps`` rule."""
+    geq = np.all(values[None, :, :] >= values[:, None, :] - eps, axis=2)
+    gt = np.any(values[None, :, :] > values[:, None, :] + eps, axis=2)
+    return (geq & gt).sum(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "continuous", "perturbed"]),
+    n=st.integers(min_value=1, max_value=60),
+    d=st.integers(min_value=2, max_value=4),
+    k=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_skyband_kernel_matches_brute_force(kind, n, d, k, seed):
+    """Property: the sort-based kernel agrees with pairwise dominance counting.
+
+    Integer grids give exact ties and duplicates; there the kernel must be
+    exact, as on generic continuous data.  Grids perturbed by 0.3-1.7 times
+    the geometry tolerance make ``eps``-dominance non-transitive, so the
+    kernel may keep extra options but must never drop a band member.
+    """
+    rng = np.random.default_rng(seed)
+    eps = DEFAULT_TOL.geometry
+    if kind == "continuous":
+        values = rng.random((n, d))
+    else:
+        values = rng.integers(0, 4, size=(n, d)).astype(float)
+        if kind == "perturbed":
+            jitter = rng.uniform(0.3, 1.7, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+            values = values + jitter * eps
+
+    brute = _brute_force_dominator_counts(values, eps)
+    expected = set(np.flatnonzero(brute < k).tolist())
+    band = set(skyband_of_values(values, k).tolist())
+    counts = dominance_count(values, cap=k)
+    if kind == "perturbed":
+        assert expected <= band
+        # Counting against a subset of the options never overcounts.
+        assert np.all(counts <= np.minimum(brute, k))
+    else:
+        assert band == expected
+        assert counts.tolist() == np.minimum(brute, k).tolist()
 
 
 class TestOnion:
