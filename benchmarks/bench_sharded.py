@@ -35,7 +35,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.sharded import solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
 from repro.preference.region import PreferenceRegion
@@ -65,6 +65,12 @@ def _vall_hash(result) -> str:
     return hashlib.sha256(result.vertices_reduced.tobytes()).hexdigest()
 
 
+def _solve_sharded(dataset, k, region, executor):
+    """One query through a one-shot sharded pre-filter (pool start and close included)."""
+    with ShardedPrefilter(N_SHARDS, executor=executor) as shards:
+        return solve_toprr(dataset, k, region, prefilter=shards)
+
+
 def _time_arm(solve):
     start = time.perf_counter()
     result = solve()
@@ -76,12 +82,8 @@ def run_comparison():
     dataset, k, region, scale = _workload()
 
     unsharded, seconds_unsharded = _time_arm(lambda: solve_toprr(dataset, k, region))
-    serial, seconds_serial = _time_arm(
-        lambda: solve_toprr_sharded(dataset, k, region, n_shards=N_SHARDS, executor="serial")
-    )
-    process, seconds_process = _time_arm(
-        lambda: solve_toprr_sharded(dataset, k, region, n_shards=N_SHARDS, executor="process")
-    )
+    serial, seconds_serial = _time_arm(lambda: _solve_sharded(dataset, k, region, "serial"))
+    process, seconds_process = _time_arm(lambda: _solve_sharded(dataset, k, region, "process"))
 
     hashes = {
         "unsharded": _vall_hash(unsharded),

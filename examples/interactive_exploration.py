@@ -11,8 +11,9 @@ cheapest placement in each.  Two of the library's scalability extensions
 
 * :class:`repro.core.precompute.PrecomputedTopRR` computes the dataset's
   k-skyband once and memoises repeated queries;
-* :func:`repro.core.parallel.solve_toprr_parallel` chops the preference
-  region across worker processes for the occasional large segment.
+* :class:`repro.core.parallel.RegionParallelSolver`, passed to
+  ``solve_toprr`` as the method, chops the preference region across worker
+  processes for the occasional large segment.
 
 Run with::
 
@@ -26,7 +27,7 @@ import time
 import numpy as np
 
 from repro import Dataset, PreferenceRegion, TopRREngine, solve_toprr
-from repro.core.parallel import solve_toprr_parallel
+from repro.core.parallel import RegionParallelSolver
 from repro.core.placement import cheapest_new_option
 from repro.core.precompute import PrecomputedTopRR
 
@@ -92,7 +93,8 @@ def main() -> None:
     sequential_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = solve_toprr_parallel(catalogue, k, wide, n_workers=4, executor="process")
+    solver = RegionParallelSolver(n_workers=4, executor="process")
+    parallel = solve_toprr(catalogue, k, wide, method=solver)
     parallel_seconds = time.perf_counter() - start
 
     probes = rng.random((500, 3))

@@ -68,7 +68,7 @@ def main() -> None:
           f"{info['results']['hits']} served from cache")
 
     # 8. How the caches are keyed: by (k, region *fingerprint*) — the
-    #    region's rounded, sorted vertices — so a *different object*
+    #    region's exact, sorted vertices — so a *different object*
     #    describing the same region hits the same entries.  Both caches are
     #    bounded LRUs; the least recently used entry is evicted when full.
     same_clientele = PreferenceRegion.hyperrectangle(

@@ -322,7 +322,7 @@ def _command_solve(args: argparse.Namespace) -> int:
     region = random_hypercube_region(args.d, args.sigma, rng=args.seed + 1)
     shards = _sharded_prefilter(args)
     try:
-        result = solve_toprr(dataset, args.k, region, method=args.method, prefilter=shards or True)
+        result = solve_toprr(dataset, args.k, region, method=args.method, prefilter=shards)
     finally:
         if shards:
             shards.close()
@@ -365,7 +365,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     queries = [pairs[i % distinct] for i in range(args.queries)]
 
     shards = _sharded_prefilter(args)
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
     if shards:
         label = f"shards={shards.n_shards}x{args.shard_strategy}"
     else:
@@ -436,7 +436,7 @@ def _command_mutate(args: argparse.Namespace) -> int:
         for i in range(args.distinct)
     ]
     shards = _sharded_prefilter(args, executor="serial")
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
     try:
         warm = time.perf_counter()
         for k, region in pairs:
@@ -506,7 +506,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
     shards = _sharded_prefilter(args)
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards or True)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
     if args.snapshot:
         path = Path(args.snapshot)
         if not path.exists():

@@ -15,19 +15,22 @@
 * :mod:`repro.core.utk` — anchor-based UTK partitioner (building block of PAC
   and of the exact UTK pre-filter).
 * :mod:`repro.core.pac` — the Partition-and-Convert baseline (Section 3.4).
-* :mod:`repro.core.toprr` — the user-facing ``solve_toprr`` front end and the
-  :class:`TopRRResult` object.
+* :mod:`repro.core.toprr` — the user-facing ``solve_toprr`` front end (a
+  one-shot :class:`~repro.engine.TopRREngine`) and the :class:`TopRRResult`
+  object.
 * :mod:`repro.core.placement` — cost-optimal option creation and enhancement.
 * :mod:`repro.core.verify` — sampling-based correctness verifier.
 * :mod:`repro.core.composite` — non-convex target regions and constrained
   option domains (Section 3.1 generalisations).
 * :mod:`repro.core.sampled` — the inexact sampling baseline of Section 2.1.
 * :mod:`repro.core.parallel` — parallel solving over a chopped ``wR``
-  (future-work direction of Section 7).
+  (future-work direction of Section 7): a
+  :class:`~repro.core.parallel.RegionParallelSolver` passed as ``method``.
 * :mod:`repro.core.sharded` — option-space sharded solving: the r-skyband
   pre-filter decomposed over disjoint option shards (process-parallel
   against shared-memory score matrices) with exact cross-shard
-  reconciliation.
+  reconciliation, a :class:`~repro.core.sharded.ShardedPrefilter` passed as
+  ``prefilter``.
 * :mod:`repro.core.precompute` — per-dataset pre-computation for repeated
   queries (future-work direction of Section 7).
 """
@@ -40,8 +43,7 @@ from repro.core.placement import cheapest_enhancement, cheapest_new_option, smal
 from repro.core.verify import verify_result_by_sampling
 from repro.core.composite import constrain_result, solve_toprr_union
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
-from repro.core.parallel import solve_toprr_parallel
-from repro.core.sharded import sharded_r_skyband, solve_toprr_sharded
+from repro.core.sharded import sharded_r_skyband
 from repro.core.precompute import PrecomputedTopRR
 from repro.core.serialization import load_result, save_result
 
@@ -59,8 +61,6 @@ __all__ = [
     "constrain_result",
     "sampled_toprr",
     "evaluate_sampled_exactness",
-    "solve_toprr_parallel",
-    "solve_toprr_sharded",
     "sharded_r_skyband",
     "PrecomputedTopRR",
     "save_result",

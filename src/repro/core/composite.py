@@ -42,7 +42,6 @@ def solve_toprr_union(
     k: int,
     regions: Sequence[PreferenceRegion],
     method: SolverLike = "tas*",
-    clip_to_unit_box: bool = True,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TopRRResult:
@@ -66,15 +65,7 @@ def solve_toprr_union(
         raise InvalidParameterError("all region pieces must target the same number of attributes")
 
     partial_results = [
-        solve_toprr(
-            dataset,
-            k,
-            region,
-            method=method,
-            clip_to_unit_box=clip_to_unit_box,
-            rng=rng,
-            tol=tol,
-        )
+        solve_toprr(dataset, k, region, method=method, rng=rng, tol=tol)
         for region in regions
     ]
 

@@ -131,10 +131,6 @@ class WorkingSet:
         coefficients, constants = self.active_form()
         return affine_scores(reduced_vertex, coefficients, constants)[0]
 
-    def score_of(self, option_index: int, reduced_vertex: np.ndarray) -> float:
-        """Score of a single option (positional index into ``D'``) at a reduced vertex."""
-        return float(self.constants[option_index] + self.coefficients[option_index] @ reduced_vertex)
-
     def without_options(self, option_indices: Sequence[int], new_k: int) -> "WorkingSet":
         """New working set with ``option_indices`` removed and ``k`` replaced."""
         drop = np.fromiter((int(i) for i in option_indices), dtype=int)

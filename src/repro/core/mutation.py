@@ -65,8 +65,8 @@ this contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -283,7 +283,8 @@ def entry_survival(
     full_vertices:
         The region's defining vertices as full weight vectors — the exact
         array the entry's filter scored against (stored alongside the cache
-        entry, *not* reconstructed from the rounded fingerprint).
+        entry in the filter's row order, *not* rebuilt from the sorted
+        fingerprint).
     band_ids:
         Option ids of the cached band members (``filtered.option_ids``).
     tol:

@@ -12,10 +12,10 @@ become extra, redundant vertices in ``V_all``).
 chops the region, runs TAS* on every piece and merges the pieces' vertex
 sets, so :class:`~repro.engine.TopRREngine` runs it like any other solver —
 on the engine's (cached) r-skyband, followed by the engine's impact-region
-step.  :func:`solve_toprr_parallel` is the one-shot form: it hands the solver
-to :func:`~repro.core.toprr.solve_toprr`.  The per-piece work is CPU-bound
-Python, so speed-ups need the (default) process executor; the serial
-executor solves the pieces in-process and exists for testing and debugging.
+step; the one-shot form is ``solve_toprr(..., method=RegionParallelSolver(...))``.
+The per-piece work is CPU-bound Python, so speed-ups need the (default)
+process executor; the serial executor solves the pieces in-process and
+exists for testing and debugging.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core.kipr import WorkingSet
 from repro.core.scorecache import VertexScoreMemo
 from repro.core.stats import SolverStats
 from repro.core.tas_star import TASStarSolver
-from repro.core.toprr import TopRRResult, solve_toprr
 from repro.data.dataset import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.geometry.hyperplane import Hyperplane
@@ -219,43 +218,3 @@ class RegionParallelSolver:
         stats.extra["n_workers"] = self.n_workers
         stats.extra["executor"] = self.executor
         return vall
-
-
-def solve_toprr_parallel(
-    dataset: Dataset,
-    k: int,
-    region: PreferenceRegion,
-    n_workers: int = 4,
-    n_pieces: Optional[int] = None,
-    executor: str = "process",
-    prefilter: bool = True,
-    clip_to_unit_box: bool = True,
-    incremental: bool = True,
-    rng: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> TopRRResult:
-    """Solve a TopRR instance by partitioning ``wR`` across parallel workers.
-
-    ``n_workers``, ``n_pieces``, ``executor`` and ``incremental`` configure
-    the :class:`RegionParallelSolver`; ``prefilter``, ``clip_to_unit_box``,
-    ``rng`` and ``tol`` are as in :func:`repro.core.toprr.solve_toprr`, which
-    runs the rest of the pipeline.
-    """
-    solver = RegionParallelSolver(
-        n_workers=n_workers,
-        n_pieces=n_pieces,
-        executor=executor,
-        rng=rng,
-        tol=tol,
-        incremental=incremental,
-    )
-    return solve_toprr(
-        dataset,
-        k,
-        region,
-        method=solver,
-        prefilter=prefilter,
-        clip_to_unit_box=clip_to_unit_box,
-        rng=rng,
-        tol=tol,
-    )

@@ -51,7 +51,6 @@ def sampled_toprr(
     region: PreferenceRegion,
     n_samples: int = 64,
     include_vertices: bool = True,
-    prefilter: bool = True,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
     engine: Optional["TopRREngine"] = None,
@@ -68,13 +67,12 @@ def sampled_toprr(
         Also include the defining vertices of ``region`` among the samples
         (the strongest variant of the baseline; without them even the
         region's corners are unguarded).
-    prefilter:
-        Apply the r-skyband pre-filter, as the exact methods do.
     rng:
         Seed or generator for the sampling.
     engine:
         Optional :class:`repro.engine.TopRREngine` bound to ``dataset``; when
-        given, the r-skyband pre-filter is served from (and feeds) the
+        given, the r-skyband pre-filter (which the baseline runs first, as
+        the exact methods do) is served from (and feeds) the
         engine's cross-query cache, so baseline comparisons against engine
         sessions do not re-filter.
 
@@ -91,8 +89,7 @@ def sampled_toprr(
         raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
     if region.n_attributes != dataset.n_attributes:
         raise InvalidParameterError("region and dataset disagree on the number of attributes")
-    use_engine_prefilter = prefilter and engine is not None and engine.prefilter
-    if use_engine_prefilter:
+    if engine is not None:
         if engine.dataset is not dataset:
             raise InvalidParameterError("engine is bound to a different dataset")
         if engine.tol != tol:
@@ -106,13 +103,11 @@ def sampled_toprr(
     stats.n_input_options = dataset.n_options
 
     timer = Timer().start()
-    if use_engine_prefilter:
+    if engine is not None:
         filtered, _working, _memo, _cache_hit = engine.prefiltered(k, region)
-    elif prefilter:
+    else:
         kept = r_skyband(dataset, k, region, tol=tol)
         filtered = dataset.subset(kept, name=f"{dataset.name}[r-skyband]")
-    else:
-        filtered = dataset
     stats.n_filtered_options = filtered.n_options
 
     sampled = region.sample_weights(n_samples, rng)

@@ -21,12 +21,11 @@ serving layer arrived, the *warm state* of a whole
   :func:`load_engine_snapshot`, surfaced as ``TopRREngine.save_caches`` /
   ``load_caches``): a versioned JSON document persisting every cached
   r-skyband entry (filtered subset, root working set, vertex-score memo,
-  exact region vertices), every cached result, and the full-dataset memo of
-  ``prefilter=False`` engines.  Arrays are stored as base64-encoded raw
-  float64/int bytes, so a restarted replica restores *bit-identical* cache
-  contents: its first query against a snapshotted ``(k, region, method)``
-  is a cache hit whose answer equals the warm original byte for byte
-  (asserted by ``tests/test_snapshot.py``).  The snapshot records a digest
+  exact region vertices) and every cached result.  Arrays are stored as
+  base64-encoded raw float64/int bytes, so a restarted replica restores
+  *bit-identical* cache contents: its first query against a snapshotted
+  ``(k, region, method)`` is a cache hit whose answer equals the warm
+  original byte for byte (asserted by ``tests/test_snapshot.py``).  The snapshot records a digest
   of the dataset it was taken against; restoring onto a different dataset
   refuses loudly rather than serving stale answers.
 
@@ -376,11 +375,10 @@ def snapshot_engine(engine) -> dict:
     Captures, oldest-first so LRU recency replays on restore:
 
     * every r-skyband entry — ``k``, region fingerprint, the positional
-      indices of the band members, the exact (unrounded) region vertices,
+      indices of the band members, the exact region vertices,
       and the entry's vertex-score memo (rows + root-working-set orders);
     * every cached result — key plus an exact array-level dump of the
-      :class:`TopRRResult`;
-    * the full-dataset memo of ``prefilter=False`` engines (rows only).
+      :class:`TopRRResult`.
 
     Counters (hits/misses, query counts, mutation totals) are deliberately
     *not* captured: a restored replica starts its accounting fresh.
@@ -403,10 +401,7 @@ def snapshot_engine(engine) -> dict:
     for (k, fingerprint, method_key), result in engine._result_cache.items():
         A, b = result.polytope.halfspaces
         region_A, region_b = result.region.polytope.halfspaces
-        if result.filtered is result.dataset:
-            kept = None
-        else:
-            kept = [int(dataset.index_of(oid)) for oid in result.filtered.option_ids]
+        kept = [int(dataset.index_of(oid)) for oid in result.filtered.option_ids]
         result_entries.append(
             {
                 "k": int(k),
@@ -429,13 +424,12 @@ def snapshot_engine(engine) -> dict:
             }
         )
 
-    full_memo = getattr(engine, "_full_memo", None)
     return {
         "format": SNAPSHOT_FORMAT,
         "schema_version": SNAPSHOT_VERSION,
         "library_version": __version__,
         "engine": {
-            "prefilter": bool(engine.prefilter),
+            "prefilter": True,
             "method": engine.method if isinstance(engine.method, str) else str(engine.method),
             "skyband_cache_size": int(engine._skyband_cache.maxsize),
             "result_cache_size": int(engine._result_cache.maxsize),
@@ -449,7 +443,6 @@ def snapshot_engine(engine) -> dict:
         },
         "skyband_entries": skyband_entries,
         "result_entries": result_entries,
-        "full_memo": None if full_memo is None else _memo_to_dict(full_memo),
     }
 
 
@@ -457,12 +450,14 @@ def restore_engine(engine, payload: dict) -> dict:
     """Install a :func:`snapshot_engine` payload into ``engine``'s caches.
 
     The engine must be bound to the *same dataset content* the snapshot was
-    taken against (verified via :func:`dataset_digest`) and share its
-    ``prefilter`` setting; anything else raises
+    taken against (verified via :func:`dataset_digest`), and the snapshot
+    must come from an r-skyband-filtered engine (older libraries could also
+    run unfiltered, ``"prefilter": false``); anything else raises
     :class:`SerializationError` — restoring caches across datasets would
-    serve answers for options that no longer exist.  Entries are installed
-    oldest-first, so the restored LRU recency order matches the original
-    (and the engine's own — possibly smaller — cache bounds apply).
+    serve answers for options that no longer exist.  The restored filtered
+    subsets are read-only, as the engine's own cached ones are.  Entries are
+    installed oldest-first, so the restored LRU recency order matches the
+    original (and the engine's own — possibly smaller — cache bounds apply).
     Returns ``{"skyband_entries", "result_entries", "memo_rows"}`` counts.
     """
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
@@ -487,11 +482,11 @@ def restore_engine(engine, payload: dict) -> dict:
             f"({dataset.n_options}x{dataset.n_attributes})"
         )
     config = payload.get("engine", {})
-    if bool(config.get("prefilter", True)) != engine.prefilter:
+    if not bool(config.get("prefilter", True)):
         raise SerializationError(
-            f"snapshot was taken with prefilter={config.get('prefilter')} but the "
-            f"engine runs with prefilter={engine.prefilter}; the cached entries "
-            "are not interchangeable between the two modes"
+            f"snapshot was taken with prefilter={config.get('prefilter')} (no r-skyband "
+            "pre-filter), which this library no longer runs; its cached entries do not "
+            "match an r-skyband-filtered engine"
         )
 
     coefficients, constants = engine.affine_form()
@@ -502,6 +497,7 @@ def restore_engine(engine, payload: dict) -> dict:
             fingerprint = _fingerprint_from_json(entry["fingerprint"])
             kept = np.asarray([int(i) for i in entry["kept"]], dtype=int)
             filtered = dataset.subset(kept, name=f"{dataset.name}[r-skyband]")
+            filtered.values.setflags(write=False)
             working = WorkingSet.from_affine_form(
                 coefficients[kept], constants[kept], k
             )
@@ -537,13 +533,9 @@ def restore_engine(engine, payload: dict) -> dict:
                 _decode_array(doc["option_region"]["b"]),
                 tol=tol,
             )
-            kept = doc.get("kept")
-            if kept is None:
-                filtered = dataset
-            else:
-                filtered = dataset.subset(
-                    [int(i) for i in kept], name=f"{dataset.name}[r-skyband]"
-                )
+            filtered = dataset.subset(
+                [int(i) for i in doc["kept"]], name=f"{dataset.name}[r-skyband]"
+            )
             result = TopRRResult(
                 dataset=dataset,
                 filtered=filtered,
@@ -561,13 +553,6 @@ def restore_engine(engine, payload: dict) -> dict:
                 (k, fingerprint, str(entry["method_key"])), result.make_read_only()
             )
             counts["result_entries"] += 1
-
-        full_memo = payload.get("full_memo")
-        if full_memo is not None and not engine.prefilter:
-            memo = _memo_from_dict(full_memo, coefficients, constants)
-            counts["memo_rows"] += len(memo)
-            with engine._counter_lock:
-                engine._full_memo = memo
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError, binascii.Error) as exc:

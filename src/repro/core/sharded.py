@@ -46,7 +46,8 @@ bit-identical filtered dataset it would have computed itself, ``V_all`` and
 the output region are bit-identical to the unsharded engine — sharding
 changes where the filter runs, never what the solver sees, and every engine
 feature (caches, snapshots, mutation maintenance) works unchanged on top.
-:func:`solve_toprr_sharded` is the one-shot front end.
+The one-shot form is ``solve_toprr(..., prefilter=ShardedPrefilter(...))``
+inside the pre-filter's ``with`` block.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import numpy as np
 
 from repro.core.faults import fault_point
 from repro.core.resilient import ResilienceConfig, ResilienceStats, SupervisedPool, SupervisedTask
-from repro.core.toprr import solve_toprr
 from repro.data.dataset import Dataset
 from repro.data.sharding import (
     SharedMatrix,
@@ -377,56 +377,4 @@ class ShardedPrefilter:
         return (
             f"ShardedPrefilter(n_shards={self.n_shards}, strategy={self.strategy!r}, "
             f"executor={self.executor!r}, closed={self._closed})"
-        )
-
-
-def solve_toprr_sharded(
-    dataset: Dataset,
-    k: int,
-    region: PreferenceRegion,
-    n_shards: int = 4,
-    strategy: str = "contiguous",
-    executor: str = "process",
-    n_workers: Optional[int] = None,
-    method="tas*",
-    clip_to_unit_box: bool = True,
-    option_bounds: Optional[tuple] = None,
-    rng=0,
-    tol: Tolerance = DEFAULT_TOL,
-    shard_timeout: Optional[float] = None,
-    shard_retries: int = 2,
-    shard_fallback: bool = True,
-):
-    """Solve one TopRR instance with the option-space sharded pre-filter.
-
-    :func:`~repro.core.toprr.solve_toprr` with ``prefilter`` set to a
-    one-shot :class:`ShardedPrefilter`; ``n_shards``, ``strategy``,
-    ``executor``, ``n_workers`` and the ``shard_*`` knobs are that object's
-    parameters, the rest are :func:`solve_toprr`'s.  The result is
-    bit-identical (``V_all``, thresholds, output region) to the unsharded
-    solve, and its ``stats`` carry the shard counters (``n_shards``,
-    ``merge_seconds``, resilience counters, per-shard timings in
-    ``extra``).  Sessions issuing several queries should hold a
-    :class:`ShardedPrefilter` and an engine instead, so the process pool
-    amortises across queries.
-    """
-    with ShardedPrefilter(
-        n_shards,
-        strategy,
-        executor,
-        n_workers,
-        timeout=shard_timeout,
-        retries=shard_retries,
-        fallback=shard_fallback,
-    ) as shards:
-        return solve_toprr(
-            dataset,
-            k,
-            region,
-            method=method,
-            prefilter=shards,
-            clip_to_unit_box=clip_to_unit_box,
-            option_bounds=option_bounds,
-            rng=rng,
-            tol=tol,
         )

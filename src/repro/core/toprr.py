@@ -33,7 +33,7 @@ from repro.preference.region import PreferenceRegion
 from repro.utils.rng import RngLike
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
-if TYPE_CHECKING:  # the sharded module builds on this one
+if TYPE_CHECKING:  # typing only; the engine runs the pre-filter
     from repro.core.sharded import ShardedPrefilter
 
 #: Method labels accepted by :func:`solve_toprr`.
@@ -96,14 +96,18 @@ class TopRRResult:
         self._tol = tol
 
     def make_read_only(self) -> "TopRRResult":
-        """Freeze ``V_all``, the lifted weights, the thresholds and ``oR``.
+        """Freeze ``V_all``, the lifted weights, the thresholds, ``oR`` and ``D'``.
 
         Called where a result enters a result cache, which hands the same
         object to every later hit: a caller writing into its arrays then
-        gets a ``ValueError`` instead of poisoning those hits.
+        gets a ``ValueError`` instead of poisoning those hits.  The values of
+        the filtered subset ``D'`` are frozen too (they are the cached
+        r-skyband entry's), but never those of the caller's own ``dataset``.
         """
         for array in (self.vertices_reduced, self.full_weights, self.thresholds):
             array.setflags(write=False)
+        if self.filtered is not self.dataset:
+            self.filtered.values.setflags(write=False)
         self.polytope.make_read_only()
         return self
 
@@ -187,9 +191,7 @@ def solve_toprr(
     k: int,
     region: PreferenceRegion,
     method: SolverLike = "tas*",
-    prefilter: Union[bool, "ShardedPrefilter"] = True,
-    clip_to_unit_box: bool = True,
-    option_bounds: Optional[tuple] = None,
+    prefilter: Optional["ShardedPrefilter"] = None,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TopRRResult:
@@ -207,16 +209,13 @@ def solve_toprr(
         preference space).
     method:
         ``"tas*"`` (default), ``"tas"``, ``"pac"``, or an already configured
-        solver instance.
+        solver instance (e.g. a
+        :class:`~repro.core.parallel.RegionParallelSolver`).
     prefilter:
-        Apply the r-skyband pre-filter first (recommended; disabling it is
-        only useful for measuring the filters themselves).  A
+        ``None`` (default) runs the r-skyband pre-filter in-process; a
         :class:`~repro.core.sharded.ShardedPrefilter` runs it over option
-        shards instead, with a bit-identical result.
-    clip_to_unit_box:
-        Clip ``oR`` to the unit option-space box ``[0, 1]^d``.
-    option_bounds:
-        Optional ``(lower, upper)`` arrays overriding the option-space box.
+        shards instead, with a bit-identical result.  The caller owns (and
+        closes) the sharded pre-filter.
     rng:
         Seed or generator for the solver's randomised choices.
     tol:
@@ -225,17 +224,15 @@ def solve_toprr(
     Returns
     -------
     :class:`TopRRResult`
+        ``oR`` is clipped to the unit option-space box ``[0, 1]^d``; other
+        domain constraints apply after the fact
+        (:func:`~repro.core.composite.constrain_result`).
 
     Notes
     -----
-    Since the introduction of :class:`repro.engine.TopRREngine` this function
-    is a convenience wrapper around a one-shot engine with caching disabled;
-    sessions that issue several queries against the same dataset should hold
-    an engine instead (bind once, query many).  The parallel front ends build
-    on the same engine: :func:`repro.core.sharded.solve_toprr_sharded` passes
-    a sharded pre-filter as ``prefilter``, and
-    :func:`repro.core.parallel.solve_toprr_parallel` passes a region-parallel
-    solver as ``method``.
+    This function is a one-shot :class:`repro.engine.TopRREngine` with
+    caching disabled; sessions that issue several queries against the same
+    dataset should hold an engine instead (bind once, query many).
     """
     from repro.engine.engine import TopRREngine  # local import: engine builds on this module
 
@@ -243,8 +240,6 @@ def solve_toprr(
         dataset,
         method=method,
         prefilter=prefilter,
-        clip_to_unit_box=clip_to_unit_box,
-        option_bounds=option_bounds,
         rng=rng,
         tol=tol,
         skyband_cache_size=0,

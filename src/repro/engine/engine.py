@@ -18,14 +18,17 @@ engine (serially or via worker processes), and ``warm``
 precomputes the filter for an anticipated query mix.
 
 **Cache-key semantics.**  A region is keyed by its *fingerprint*
-(:func:`~repro.engine.fingerprint.region_fingerprint`): the defining
-vertices, rounded to 10 decimals and lexicographically sorted.  Two region
-objects describing the same polytope therefore share cache entries even
-when their halfspace representations differ (redundant constraints, row
-order) or when they were built on different geometry backends (2-D and 3-D
-vertices are canonical across backends, see :mod:`repro.geometry.polytope`).  The
-r-skyband cache is keyed by ``(k, fingerprint)`` and shared across solver
-methods; the result cache adds the method name: ``(k, fingerprint, method)``.
+(:func:`~repro.engine.fingerprint.region_fingerprint`): the exact defining
+vertices, lexicographically sorted.  Two region objects describing the same
+polytope therefore share cache entries even when their halfspace
+representations differ (redundant constraints, row order) or when they were
+built on different geometry backends (2-D and 3-D vertices are canonical
+across backends, see :mod:`repro.geometry.polytope`), while regions whose
+vertices differ in any bit never do — a representation whose arithmetic
+moves a vertex by one ulp (rows rescaled by 3, say) costs a cache miss,
+never a wrong hit.  The r-skyband cache is keyed by ``(k, fingerprint)`` and
+shared across solver methods; the result cache adds the method name:
+``(k, fingerprint, method)``.
 Both are bounded LRUs (:class:`~repro.engine.cache.LRUCache`): inserting
 beyond ``skyband_cache_size`` / ``result_cache_size`` evicts the least
 recently *used* entry (hits refresh recency), so a long-lived session holds
@@ -38,7 +41,7 @@ engine only changes where the intermediates come from, never what they are
 (the parity tests in ``tests/test_engine.py`` assert this).  A runnable tour
 of the cache behaviour lives in ``examples/quickstart.py``.
 
-**Sharded pre-filter.**  ``prefilter`` may also be a
+**Sharded pre-filter.**  ``prefilter`` may be a
 :class:`~repro.core.sharded.ShardedPrefilter`: every r-skyband the engine
 computes then runs over disjoint option shards (serially or on a process
 pool) and is reconciled to the exact global band, so the engine — caches,
@@ -113,21 +116,11 @@ def _record_shards(stats: SolverStats, shards: ShardedPrefilter, info: Optional[
             stats.extra["resilience_events"] = list(resilience.events)
 
 
-def _solve_query_worker(dataset, k, region, method, prefilter, clip, bounds, rng, tol):
+def _solve_query_worker(dataset, k, region, method, rng, tol):
     """Process-pool worker: one independent solve (no shared caches)."""
     from repro.core.toprr import solve_toprr
 
-    return solve_toprr(
-        dataset,
-        k,
-        region,
-        method=method,
-        prefilter=prefilter,
-        clip_to_unit_box=clip,
-        option_bounds=bounds,
-        rng=rng,
-        tol=tol,
-    )
+    return solve_toprr(dataset, k, region, method=method, rng=rng, tol=tol)
 
 
 class TopRREngine:
@@ -141,13 +134,11 @@ class TopRREngine:
         Default solver for queries that do not specify one
         (``"tas*"``, ``"tas"``, ``"pac"``, or a solver instance).
     prefilter:
-        Apply the r-skyband pre-filter (as :func:`solve_toprr` does), or a
-        :class:`~repro.core.sharded.ShardedPrefilter` to run it over option
-        shards.  The caller owns (and closes) a sharded pre-filter; the
-        :attr:`prefilter` attribute stays a bool (``True`` when sharded), so
+        ``None`` (default) runs the r-skyband pre-filter in-process; a
+        :class:`~repro.core.sharded.ShardedPrefilter` runs it over option
+        shards with a bit-identical band.  The caller owns (and closes) a
+        sharded pre-filter.  Either way the cached entries are the same, so
         snapshots restore across sharded and unsharded engines.
-    clip_to_unit_box, option_bounds:
-        Output-region clipping, as in :func:`solve_toprr`.
     rng:
         Seed for each query's solver (a fresh solver is built per query so
         repeated queries are deterministic and match ``solve_toprr``).
@@ -181,28 +172,26 @@ class TopRREngine:
         self,
         dataset: Dataset,
         method: SolverLike = "tas*",
-        prefilter: Union[bool, ShardedPrefilter] = True,
-        clip_to_unit_box: bool = True,
-        option_bounds: Optional[tuple] = None,
+        prefilter: Optional[ShardedPrefilter] = None,
         rng: RngLike = 0,
         tol: Tolerance = DEFAULT_TOL,
         skyband_cache_size: int = 128,
         result_cache_size: int = 64,
     ):
+        if prefilter is not None and not isinstance(prefilter, ShardedPrefilter):
+            raise InvalidParameterError(
+                f"prefilter must be None or a ShardedPrefilter, got {prefilter!r}; "
+                "the r-skyband pre-filter always runs"
+            )
         self.dataset = dataset
         self.method = method
-        self._shards = prefilter if isinstance(prefilter, ShardedPrefilter) else None
-        self.prefilter = self._shards is not None or bool(prefilter)
-        self.clip_to_unit_box = bool(clip_to_unit_box)
-        self.option_bounds = option_bounds
+        self.prefilter = prefilter
         self.rng = rng
         self.tol = tol
         self._space = PreferenceSpace(dataset.n_attributes)
         self._affine: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._skyband_cache = LRUCache(skyband_cache_size)
         self._result_cache = LRUCache(result_cache_size)
-        self._full_memo: Optional[VertexScoreMemo] = None
-        self._nofilter_workings: dict = {}
         self._counter_lock = threading.Lock()
         self.n_queries = 0
         # Mutation-maintenance state: memos of entries evicted by a delta,
@@ -243,17 +232,17 @@ class TopRREngine:
         The info is ``None`` on the unsharded path, which calls this module's
         :func:`r_skyband` (the name the stage tracer patches).
         """
-        if self._shards is None:
+        if self.prefilter is None:
             return r_skyband(self.dataset, k, region, tol=self.tol), None
-        return self._shards.filter(vertex_score_matrix(self.dataset, region), k, self.tol)
+        return self.prefilter.filter(vertex_score_matrix(self.dataset, region), k, self.tol)
 
     def prefiltered(
         self, k: int, region: PreferenceRegion
     ) -> Tuple[Dataset, WorkingSet, VertexScoreMemo, bool]:
         """``(D', root working set, score memo, cache_hit)`` for one ``(k, region)`` pair.
 
-        ``D'`` is the r-skyband subset (or the dataset itself when the engine
-        was built with ``prefilter=False``); the working set is sliced from
+        ``D'`` is the r-skyband subset (read-only values when it is a cached
+        entry, which every later query shares); the working set is sliced from
         the bound affine form, so no per-query score-form computation occurs.
         The vertex-score memo lives alongside the cached r-skyband entry, so
         repeated queries against the same ``(k, region)`` reuse each other's
@@ -264,16 +253,6 @@ class TopRREngine:
     def _prefilter(self, k: int, region: PreferenceRegion) -> tuple:
         """:meth:`prefiltered` plus the shard info of a filter run here (else ``None``)."""
         coefficients, constants = self.affine_form()
-        if not self.prefilter:
-            with self._counter_lock:
-                working = self._nofilter_workings.get(int(k))
-                if working is None:
-                    working = WorkingSet.from_affine_form(coefficients, constants, k)
-                    self._nofilter_workings[int(k)] = working
-                if self._full_memo is None:
-                    self._full_memo = VertexScoreMemo(coefficients, constants)
-            return self.dataset, working, self._full_memo, False, None
-
         if self._skyband_cache.maxsize <= 0:
             # Cache disabled (the experiment runner's timing engines): skip
             # the fingerprint, the salvage lookup and the exact-vertex dump
@@ -311,11 +290,14 @@ class TopRREngine:
         ``kept`` are ascending positional indices into this engine's dataset
         — exactly what :func:`~repro.pruning.rskyband.r_skyband` returns.
         The entry is ``(filtered dataset, root working set sliced from the
-        bound affine form, vertex-score memo, exact region vertices)``.
+        bound affine form, vertex-score memo, exact region vertices)``; the
+        filtered dataset's values are frozen, since every later hit (and
+        every result solved from it) shares them.
         """
         coefficients, constants = self.affine_form()
         kept = np.asarray(kept, dtype=int)
         filtered = self.dataset.subset(kept, name=f"{self.dataset.name}[r-skyband]")
+        filtered.values.setflags(write=False)
         working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
         key = (int(k), region_fingerprint(region))
         salvaged = self._mutation_salvage.pop(key, None)
@@ -333,9 +315,8 @@ class TopRREngine:
                     self._last_mutation_report.n_memos_salvaged += 1
         else:
             memo = VertexScoreMemo.for_working(working)
-        # The entry carries the exact (unrounded) region vertices: the
-        # mutation survival test must replicate the filter's score matrix
-        # byte-for-byte, and the fingerprint in the key is rounded.
+        # The entry carries the exact region vertices: the mutation survival
+        # test must replicate the filter's score matrix byte-for-byte.
         entry = (filtered, working, memo, region.full_vertices())
         self._skyband_cache.put(key, entry)
         return entry
@@ -383,19 +364,12 @@ class TopRREngine:
         stats.n_filtered_options = filtered.n_options
 
         vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
-        polytope, full_weights, thresholds = build_impact_region(
-            filtered,
-            vall,
-            k,
-            clip_to_unit_box=self.clip_to_unit_box,
-            bounds=self.option_bounds,
-            tol=self.tol,
-        )
+        polytope, full_weights, thresholds = build_impact_region(filtered, vall, k, tol=self.tol)
         stats.seconds = timer.stop()
         stats.n_after_lemma5 = stats.n_after_lemma5 or filtered.n_options
         stats.extra["skyband_cache_hit"] = bool(skyband_hit)
-        if self._shards is not None:
-            _record_shards(stats, self._shards, shard_info)
+        if self.prefilter is not None:
+            _record_shards(stats, self.prefilter, shard_info)
 
         result = TopRRResult(
             dataset=self.dataset,
@@ -455,18 +429,7 @@ class TopRREngine:
         resolved = self.method if method is None else method
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(
-                    _solve_query_worker,
-                    self.dataset,
-                    k,
-                    region,
-                    resolved,
-                    self.prefilter,
-                    self.clip_to_unit_box,
-                    self.option_bounds,
-                    self.rng,
-                    self.tol,
-                )
+                pool.submit(_solve_query_worker, self.dataset, k, region, resolved, self.rng, self.tol)
                 for k, region in specs
             ]
             return [future.result() for future in futures]
@@ -514,7 +477,6 @@ class TopRREngine:
         """
         delta.check_applies_to(self.dataset, dataset)
         report = MutationReport()
-        old_dataset = self.dataset
         self.dataset = dataset
         self._affine = None  # recomputed lazily; row-wise, so survivors match
 
@@ -530,25 +492,6 @@ class TopRREngine:
             ]
             for key in stale:
                 self._mutation_salvage.pop(key, None)
-
-        if not self.prefilter:
-            # Without the pre-filter there is no band to count dominators
-            # against, so no entry is provably unaffected: evict every
-            # result, rebuild the working sets, and salvage the full-dataset
-            # memo's score rows by column remap (sound unconditionally).
-            for key, _result in self._result_cache.items():
-                if self._result_cache.pop(key) is not MISSING:
-                    report.n_results_evicted += 1
-            with self._counter_lock:
-                old_memo, self._full_memo = self._full_memo, None
-                self._nofilter_workings.clear()
-            if old_memo is not None and len(old_memo):
-                coefficients, constants = self.affine_form()
-                column_map = position_column_map(dataset.option_ids, old_dataset.option_ids)
-                with self._counter_lock:
-                    self._full_memo = old_memo.remapped(coefficients, constants, column_map)
-                report.n_memos_salvaged += 1
-            return self._record_delta(report)
 
         # One vertex-score product per distinct region: the skyband entry
         # and the per-method results for the same (k, region) share it.
@@ -633,8 +576,8 @@ class TopRREngine:
         """Restore a :meth:`save_caches` snapshot into this engine's caches.
 
         The snapshot must have been taken against this engine's exact
-        dataset content and ``prefilter`` mode; mismatches, truncated files
-        and unknown schema versions raise
+        dataset content by an r-skyband-filtered engine; mismatches,
+        truncated files and unknown schema versions raise
         :class:`~repro.exceptions.SerializationError`.  Returns the counts
         of restored entries (``skyband_entries``, ``result_entries``,
         ``memo_rows``).  Counters start fresh — only cache *contents* are
@@ -667,12 +610,10 @@ class TopRREngine:
         """Drop every cached intermediate (the bound affine form is kept).
 
         This includes the vertex-score memos attached to the r-skyband
-        entries and the full-dataset memo of the ``prefilter=False`` path.
+        entries.
         """
         self._skyband_cache.clear()
         self._result_cache.clear()
-        self._full_memo = None
-        self._nofilter_workings.clear()
         self._mutation_salvage.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.parallel import solve_toprr_parallel
+from repro.core.parallel import RegionParallelSolver
 from repro.core.precompute import PrecomputedTopRR
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
@@ -122,9 +122,8 @@ def ablation_parallel(
         if n_workers <= 1:
             continue
         timer = Timer().start()
-        parallel = solve_toprr_parallel(
-            dataset, k, region, n_workers=n_workers, executor=executor
-        )
+        solver = RegionParallelSolver(n_workers=n_workers, executor=executor)
+        parallel = solve_toprr(dataset, k, region, method=solver)
         seconds = timer.stop()
         rows.append(
             {

@@ -35,16 +35,6 @@ class Measurement:
     n_splits: float
     per_query: List[dict] = field(default_factory=list)
 
-    def as_row(self) -> dict:
-        """Flat dictionary for tabular reporting."""
-        return {
-            "method": self.method,
-            "seconds": self.seconds,
-            "n_vertices": self.n_vertices,
-            "n_filtered": self.n_filtered,
-            "n_splits": self.n_splits,
-        }
-
 
 def _measurement_engine(dataset, engines: Dict[int, TopRREngine]) -> TopRREngine:
     """One cache-less engine per distinct workload dataset (affine form bound once)."""

@@ -473,11 +473,6 @@ class ConvexPolytope:
             self._incidence = vertex_facet_incidence(self.vertices, self._A, self._b, self._tol)
         return self._incidence
 
-    def facet_vertices(self, facet_index: int) -> np.ndarray:
-        """Vertices lying on the ``facet_index``-th stored halfspace."""
-        mask = self.incidence()[:, facet_index]
-        return self.vertices[mask]
-
     # ------------------------------------------------------------------ #
     # membership and measurements
     # ------------------------------------------------------------------ #

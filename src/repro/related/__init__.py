@@ -1,4 +1,4 @@
-"""Related preference-space queries: reverse top-k (an oracle) and regret sets.
+"""Related preference-space queries: the reverse top-k oracle.
 
 Section 2 of the paper surveys queries that share TopRR's machinery (linear
 scores, preference-space halfspaces, dominance) but answer different
@@ -10,13 +10,8 @@ profiles, no impact region), so
 :func:`~repro.related.reverse_topk.reverse_top_k_contains_region` is an
 independent check that an option placed inside ``oR`` is top-k over all of
 ``wR``.
-
-:mod:`repro.related.regret` (regret-minimizing representative sets,
-Nanongkai et al. [32], the subset-selection family of Section 2.2) also
-stays: it is small, self-contained and covered by its own tests.
 """
 
-from repro.related.regret import greedy_regret_set, max_regret_ratio
 from repro.related.reverse_topk import (
     ReverseTopKResult,
     monochromatic_reverse_top_k,
@@ -27,6 +22,4 @@ __all__ = [
     "ReverseTopKResult",
     "monochromatic_reverse_top_k",
     "reverse_top_k_contains_region",
-    "greedy_regret_set",
-    "max_regret_ratio",
 ]

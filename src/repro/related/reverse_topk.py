@@ -19,7 +19,7 @@ counts; regions whose bracket straddles ``k`` are split along a hyperplane
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +38,6 @@ class RankBounds:
     lower: int
     upper: int
     swing_options: np.ndarray
-
-    @property
-    def is_tight(self) -> bool:
-        """True when the rank is the same everywhere in the region."""
-        return self.lower == self.upper
 
 
 @dataclass

@@ -15,6 +15,7 @@ from repro.data.generators import generate_independent
 from repro.engine import LRUCache, TopRREngine, region_fingerprint
 from repro.engine.cache import MISSING
 from repro.exceptions import InvalidParameterError
+from repro.geometry.polytope import ConvexPolytope
 from repro.preference.region import PreferenceRegion
 
 
@@ -142,6 +143,36 @@ class TestRegionFingerprint:
         b = PreferenceRegion.hyperrectangle([(0.2, 0.3), (0.1, 0.21)])
         assert region_fingerprint(a) != region_fingerprint(b)
 
+    def test_equivalent_halfspace_forms_share_fingerprints(self):
+        box = PreferenceRegion.hyperrectangle([(0.3, 0.35), (0.3, 0.35), (0.1, 0.15)])
+        A, b = box.polytope.halfspaces
+        order = np.random.default_rng(5).permutation(A.shape[0])
+        variants = [
+            (A[order], b[order]),  # row permutation
+            (A * 2.0, b * 2.0),  # row scaling (exact in binary)
+            (np.vstack([A, [[1.0, 1.0, 1.0]]]), np.append(b, 2.0)),  # slack redundant row
+            (np.vstack([A, A[:1]]), np.append(b, b[:1])),  # tight (duplicate) row
+        ]
+        for A_variant, b_variant in variants:
+            variant = PreferenceRegion(ConvexPolytope(A_variant, b_variant), n_attributes=4)
+            assert region_fingerprint(variant) == region_fingerprint(box)
+
+    def test_nearby_regions_do_not_collide(self):
+        # Two boxes 3e-11 apart are different queries: neither may be served
+        # the other's cached answer.
+        dataset = generate_independent(300, 3, rng=1)
+        a = PreferenceRegion.hyperrectangle([(0.3, 0.35), (0.3, 0.35)])
+        b = PreferenceRegion.hyperrectangle([(0.3 + 3e-11, 0.35 + 3e-11), (0.3, 0.35)])
+        assert region_fingerprint(a) != region_fingerprint(b)
+        engine = TopRREngine(dataset)
+        engine.query(5, a)
+        answer = engine.query(5, b)
+        assert answer.region is b
+        fresh = solve_toprr(dataset, 5, b)
+        assert answer.vertices_reduced.tobytes() == fresh.vertices_reduced.tobytes()
+        assert answer.thresholds.tobytes() == fresh.thresholds.tobytes()
+        assert engine.cache_info()["results"]["hits"] == 0
+
 
 class TestEngineQuery:
     def test_parity_with_solve_toprr(self, catalogue, regions):
@@ -228,12 +259,41 @@ class TestEngineQuery:
         with pytest.raises(InvalidParameterError):
             engine.query(5, PreferenceRegion.hyperrectangle([(0.2, 0.3), (0.2, 0.3), (0.1, 0.2)]))
 
-    def test_prefilter_disabled(self, catalogue, regions):
-        engine = TopRREngine(catalogue, prefilter=False)
+    @pytest.mark.parametrize("restored", [False, True], ids=["solved", "snapshot"])
+    def test_filtered_subset_cannot_poison_the_skyband_cache(self, restored, tmp_path):
+        # The result's D' is the cached r-skyband entry's dataset: writing
+        # into it must fail instead of changing what a later query of the
+        # same (k, region) under another method is solved on.
+        dataset = generate_independent(300, 3, rng=1)
+        region = PreferenceRegion.hyperrectangle([(0.3, 0.35), (0.3, 0.35)])
+        fresh = solve_toprr(dataset, 5, region, method="tas")
+        engine = TopRREngine(dataset)
+        first = engine.query(5, region)
+        if restored:
+            path = engine.save_caches(tmp_path / "caches.json")
+            engine = TopRREngine(dataset)
+            engine.load_caches(path)
+            first = engine.query(5, region)
+        with pytest.raises(ValueError):
+            first.filtered.values[:] = 0.0
+        other = engine.query(5, region, method="tas")
+        assert other.stats.extra["skyband_cache_hit"] is True
+        assert other.thresholds.tobytes() == fresh.thresholds.tobytes()
+        assert other.vertices_reduced.tobytes() == fresh.vertices_reduced.tobytes()
+
+    def test_prefilter_must_be_a_sharded_prefilter(self, catalogue):
+        for prefilter in (False, True, 4, "sharded"):
+            with pytest.raises(InvalidParameterError, match="prefilter"):
+                TopRREngine(catalogue, prefilter=prefilter)
+            with pytest.raises(InvalidParameterError, match="prefilter"):
+                solve_toprr(catalogue, 4, PreferenceRegion.interval(0.2, 0.3), prefilter=prefilter)
+
+    def test_caller_dataset_stays_writable(self, regions):
+        dataset = generate_independent(200, 3, rng=4)
+        engine = TopRREngine(dataset)
         result = engine.query(4, regions[0])
-        assert result.filtered is catalogue
-        reference = solve_toprr(catalogue, 4, regions[0], prefilter=False)
-        assert result.n_vertices == reference.n_vertices
+        assert result.dataset is dataset
+        assert dataset.values.flags.writeable
 
 
 class TestEngineBatch:

@@ -6,11 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core.parallel import (
-    RegionParallelSolver,
-    solve_toprr_parallel,
-    split_region_into_boxes,
-)
+from repro.core.parallel import RegionParallelSolver, split_region_into_boxes
 from repro.core.precompute import RESULT_CACHE_SIZE, PrecomputedTopRR, region_fingerprint
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
@@ -115,9 +111,8 @@ class TestRegionChopping:
 class TestParallelSolving:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_sequential_answer(self, market, region, exact_result, executor):
-        parallel = solve_toprr_parallel(
-            market, 8, region, n_workers=2, n_pieces=4, executor=executor
-        )
+        solver = RegionParallelSolver(n_workers=2, n_pieces=4, executor=executor)
+        parallel = solve_toprr(market, 8, region, method=solver)
         probes = np.random.default_rng(17).random((500, 3))
         assert np.array_equal(
             parallel.contains_many(probes), exact_result.contains_many(probes)
@@ -129,9 +124,8 @@ class TestParallelSolving:
         # the point is only that the pool path works end to end.
         small = generate_independent(400, 3, rng=3)
         sequential = solve_toprr(small, 5, region)
-        parallel = solve_toprr_parallel(
-            small, 5, region, n_workers=2, n_pieces=2, executor="process"
-        )
+        solver = RegionParallelSolver(n_workers=2, n_pieces=2, executor="process")
+        parallel = solve_toprr(small, 5, region, method=solver)
         probes = np.random.default_rng(19).random((300, 3))
         assert np.array_equal(
             parallel.contains_many(probes), sequential.contains_many(probes)
@@ -139,23 +133,25 @@ class TestParallelSolving:
 
     def test_invalid_parameters(self, market, region):
         with pytest.raises(InvalidParameterError):
-            solve_toprr_parallel(market, 0, region)
+            solve_toprr(market, 0, region, method=RegionParallelSolver())
         with pytest.raises(InvalidParameterError):
-            solve_toprr_parallel(market, 5, region, n_workers=0)
+            RegionParallelSolver(n_workers=0)
         with pytest.raises(InvalidParameterError):
-            solve_toprr_parallel(market, 5, region, executor="gpu")
+            RegionParallelSolver(executor="gpu")
         with pytest.raises(InvalidParameterError):
-            solve_toprr_parallel(market, 5, region, executor="thread")
+            RegionParallelSolver(executor="thread")
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_k_beyond_dataset_size_rejected(self, region, executor):
         # Same validation as solve_toprr: the parallel path runs the engine's.
         tiny = generate_independent(30, 3, rng=31)
         with pytest.raises(InvalidParameterError):
-            solve_toprr_parallel(tiny, 31, region, n_workers=2, executor=executor)
+            solve_toprr(tiny, 31, region, method=RegionParallelSolver(n_workers=2, executor=executor))
 
     def test_reports_the_engine_pipeline_counters(self, market, region):
-        result = solve_toprr_parallel(market, 8, region, n_pieces=4, executor="serial")
+        result = solve_toprr(
+            market, 8, region, method=RegionParallelSolver(n_pieces=4, executor="serial")
+        )
         stats = result.stats
         assert stats.n_after_lemma5 > 0
         assert stats.n_vertices == result.n_vertices
@@ -244,11 +240,21 @@ class TestParallelIncrementalRouting:
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_incremental_matches_from_scratch(self, market, region, executor):
-        incremental = solve_toprr_parallel(
-            market, 8, region, n_workers=2, n_pieces=4, executor=executor, incremental=True
+        incremental = solve_toprr(
+            market,
+            8,
+            region,
+            method=RegionParallelSolver(
+                n_workers=2, n_pieces=4, executor=executor, incremental=True
+            ),
         )
-        scratch = solve_toprr_parallel(
-            market, 8, region, n_workers=2, n_pieces=4, executor=executor, incremental=False
+        scratch = solve_toprr(
+            market,
+            8,
+            region,
+            method=RegionParallelSolver(
+                n_workers=2, n_pieces=4, executor=executor, incremental=False
+            ),
         )
         assert answer_sha256(incremental) == PARALLEL_ANSWER_SHA256
         assert answer_sha256(scratch) == PARALLEL_ANSWER_SHA256
@@ -264,8 +270,11 @@ class TestParallelIncrementalRouting:
         # Piece-boundary vertices are shared between adjacent pieces; with the
         # serial executor all pieces feed one memo, so reuse must exceed what
         # any single piece's split tree could produce alone.
-        result = solve_toprr_parallel(
-            market, 8, region, n_workers=1, n_pieces=4, executor="serial"
+        result = solve_toprr(
+            market,
+            8,
+            region,
+            method=RegionParallelSolver(n_workers=1, n_pieces=4, executor="serial"),
         )
         stats = result.stats
         assert stats.n_score_rows_reused > 0
@@ -297,6 +306,8 @@ class TestDegenerateChopping:
     def test_requested_piece_count_lands_in_stats(self):
         small = generate_independent(300, 3, rng=23)
         region = PreferenceRegion.hyperrectangle([(0.3, 0.36), (0.3, 0.36)])
-        result = solve_toprr_parallel(small, 4, region, n_pieces=3, executor="serial")
+        result = solve_toprr(
+            small, 4, region, method=RegionParallelSolver(n_pieces=3, executor="serial")
+        )
         assert result.stats.extra["n_pieces_requested"] == 3
         assert result.stats.extra["n_pieces"] <= 3

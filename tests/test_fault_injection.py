@@ -1,6 +1,7 @@
 """End-to-end fault-injection differential for the sharded process path.
 
-Every test runs ``solve_toprr_sharded(executor="process")`` under a seeded
+Every test runs ``solve_toprr`` with a process-executor
+:class:`~repro.core.sharded.ShardedPrefilter` under a seeded
 :class:`~repro.core.faults.FaultPlan` — workers crash hard, hang past the
 batch deadline, fail the shared-memory attach, or raise inside the filter
 kernel — and asserts the three invariants of the ISSUE:
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.faults import ANY_KEY, FaultPlan, FaultSpec
-from repro.core.sharded import solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_anticorrelated, generate_independent
 from repro.data.sharding import leaked_segments
@@ -68,12 +69,16 @@ def d4_instance():
     return dataset, k, region, solve_toprr(dataset, k, region)
 
 
+def solve_sharded(dataset, k, region, **kwargs):
+    """One ``solve_toprr`` through a one-shot process-executor :class:`ShardedPrefilter`."""
+    with ShardedPrefilter(N_SHARDS, executor="process", **kwargs) as shards:
+        return solve_toprr(dataset, k, region, prefilter=shards)
+
+
 def _solve_under(plan, instance, **kwargs):
     dataset, k, region, reference = instance
     with plan.installed():
-        sharded = solve_toprr_sharded(
-            dataset, k, region, n_shards=N_SHARDS, executor="process", **kwargs
-        )
+        sharded = solve_sharded(dataset, k, region, **kwargs)
     assert_bit_identical(sharded, reference)
     assert own_leaked_segments() == []
     return sharded
@@ -85,7 +90,7 @@ class TestCrashRecovery:
             specs=[FaultSpec(point="task", key=1, kind="crash", times=1)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d3_instance, shard_retries=2)
+        sharded = _solve_under(plan, d3_instance, retries=2)
         assert plan.fired(0) == 1
         stats = sharded.stats
         assert stats.n_worker_crashes == 1
@@ -100,7 +105,7 @@ class TestCrashRecovery:
             specs=[FaultSpec(point="task", key=0, kind="crash", times=1)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d4_instance, shard_retries=2)
+        sharded = _solve_under(plan, d4_instance, retries=2)
         assert plan.fired(0) == 1
         assert sharded.stats.n_worker_crashes == 1
         assert sharded.stats.n_pool_rebuilds == 1
@@ -113,7 +118,7 @@ class TestKernelAndAttachFaults:
             specs=[FaultSpec(point="kernel", key=ANY_KEY, kind="raise", times=1)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d3_instance, shard_retries=2)
+        sharded = _solve_under(plan, d3_instance, retries=2)
         assert plan.fired(0) == 1
         stats = sharded.stats
         assert stats.n_retries == 1
@@ -126,7 +131,7 @@ class TestKernelAndAttachFaults:
             specs=[FaultSpec(point="attach", key=2, kind="raise", times=1)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d3_instance, shard_retries=1)
+        sharded = _solve_under(plan, d3_instance, retries=1)
         assert plan.fired(0) == 1
         assert sharded.stats.n_retries == 1
         assert not sharded.stats.degraded
@@ -136,7 +141,7 @@ class TestKernelAndAttachFaults:
             specs=[FaultSpec(point="kernel", key=1, kind="raise", times=1)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d4_instance, shard_retries=2)
+        sharded = _solve_under(plan, d4_instance, retries=2)
         assert sharded.stats.n_retries == 1
         assert not sharded.stats.degraded
 
@@ -147,7 +152,7 @@ class TestHangRecovery:
             specs=[FaultSpec(point="task", key=0, kind="hang", times=1, hang_seconds=30.0)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d3_instance, shard_timeout=1.0, shard_retries=2)
+        sharded = _solve_under(plan, d3_instance, timeout=1.0, retries=2)
         assert plan.fired(0) == 1
         stats = sharded.stats
         assert stats.n_retries >= 1
@@ -164,7 +169,7 @@ class TestSerialDegradation:
             specs=[FaultSpec(point="kernel", key=ANY_KEY, kind="raise", times=100)],
             state_dir=str(tmp_path),
         )
-        sharded = _solve_under(plan, d3_instance, shard_retries=1)
+        sharded = _solve_under(plan, d3_instance, retries=1)
         stats = sharded.stats
         assert stats.degraded
         assert stats.n_degraded_shards == N_SHARDS
@@ -178,15 +183,7 @@ class TestSerialDegradation:
         )
         with plan.installed():
             with pytest.raises(ShardExecutionError):
-                solve_toprr_sharded(
-                    dataset,
-                    k,
-                    region,
-                    n_shards=N_SHARDS,
-                    executor="process",
-                    shard_retries=1,
-                    shard_fallback=False,
-                )
+                solve_sharded(dataset, k, region, retries=1, fallback=False)
         # The failed query's shared score matrix must still be unlinked.
         assert own_leaked_segments() == []
 
@@ -213,9 +210,7 @@ class TestHealthySchedules:
             )
             os.makedirs(plan.state_dir, exist_ok=True)
             with plan.installed():
-                result = solve_toprr_sharded(
-                    dataset, k, region, n_shards=N_SHARDS, executor="process", shard_retries=2
-                )
+                result = solve_sharded(dataset, k, region, retries=2)
             runs.append(result)
             assert plan.fired(0) == 1
         first, second = runs

@@ -10,6 +10,7 @@ from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
 from repro.topk.query import top_k_score
+from repro.utils.tolerance import DEFAULT_TOL
 
 
 class TestImpactHalfspace:
@@ -79,10 +80,13 @@ class TestSolveToprrValidation:
         assert make_solver("pac").name == "PAC"
 
     def test_no_prefilter_gives_same_region(self, figure1, figure1_region):
-        filtered = solve_toprr(figure1, 3, figure1_region, prefilter=True)
-        unfiltered = solve_toprr(figure1, 3, figure1_region, prefilter=False)
+        # Oracle: the solver run directly on the unfiltered dataset, then Theorem 1.
+        filtered = solve_toprr(figure1, 3, figure1_region)
+        vall = TASStarSolver().partition(figure1, 3, figure1_region)
+        _polytope, full_weights, thresholds = build_impact_region(figure1, vall, 3)
         probes = np.random.default_rng(0).random((200, 2))
-        assert np.array_equal(filtered.contains_many(probes), unfiltered.contains_many(probes))
+        unfiltered = np.all(probes @ full_weights.T >= thresholds - DEFAULT_TOL.score, axis=1)
+        assert np.array_equal(filtered.contains_many(probes), unfiltered)
 
 
 class TestTopRRResultAPI:

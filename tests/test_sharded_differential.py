@@ -17,13 +17,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.sharded import ShardedPrefilter, sharded_r_skyband, solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter, sharded_r_skyband
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_anticorrelated, generate_independent
 from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError
 from repro.preference.random_regions import random_hypercube_region
 from repro.pruning.rskyband import r_skyband
+
+
+def solve_sharded(dataset, k, region, n_shards, strategy="contiguous", executor="serial"):
+    """One ``solve_toprr`` through a one-shot :class:`ShardedPrefilter`."""
+    with ShardedPrefilter(n_shards, strategy, executor) as shards:
+        return solve_toprr(dataset, k, region, prefilter=shards)
 
 
 def assert_bit_identical(sharded, reference):
@@ -80,9 +86,7 @@ class TestShardedSolveParity:
             dataset = generate_independent(n, 3, rng=seed)
             region = random_hypercube_region(3, 0.07, rng=seed + 1)
             reference = solve_toprr(dataset, k, region)
-            sharded = solve_toprr_sharded(
-                dataset, k, region, n_shards=n_shards, strategy=strategy, executor="serial"
-            )
+            sharded = solve_sharded(dataset, k, region, n_shards, strategy, "serial")
             assert_bit_identical(sharded, reference)
             assert sharded.stats.n_shards == n_shards
             assert sharded.stats.n_filtered_options == reference.stats.n_filtered_options
@@ -92,9 +96,7 @@ class TestShardedSolveParity:
         dataset = generate_independent(2_000, 3, rng=21)
         region = random_hypercube_region(3, 0.06, rng=22)
         reference = solve_toprr(dataset, 8, region)
-        sharded = solve_toprr_sharded(
-            dataset, 8, region, n_shards=4, strategy=strategy, executor="process"
-        )
+        sharded = solve_sharded(dataset, 8, region, 4, strategy, "process")
         assert_bit_identical(sharded, reference)
         assert sharded.stats.extra["shard_executor"] == "process"
         assert len(sharded.stats.extra["shard_seconds"]) == 4
@@ -106,9 +108,7 @@ class TestShardedSolveParity:
         region = random_hypercube_region(4, 0.05, rng=32)
         reference = solve_toprr(dataset, 6, region)
         for strategy, executor in [("contiguous", "serial"), ("hash", "serial"), ("contiguous", "process")]:
-            sharded = solve_toprr_sharded(
-                dataset, 6, region, n_shards=4, strategy=strategy, executor=executor
-            )
+            sharded = solve_sharded(dataset, 6, region, 4, strategy, executor)
             assert_bit_identical(sharded, reference)
 
     def test_more_shards_than_options(self):
@@ -117,20 +117,20 @@ class TestShardedSolveParity:
         region = random_hypercube_region(3, 0.1, rng=42)
         reference = solve_toprr(dataset, 2, region)
         for strategy in ("contiguous", "hash"):
-            sharded = solve_toprr_sharded(
-                dataset, 2, region, n_shards=7, strategy=strategy, executor="serial"
-            )
+            sharded = solve_sharded(dataset, 2, region, 7, strategy, "serial")
             assert_bit_identical(sharded, reference)
 
     def test_solve_toprr_shards_dispatch(self):
-        # Sharding has one one-shot entry point; solve_toprr does not dispatch to it.
+        # Sharding has one way in: a ShardedPrefilter passed as prefilter.
         dataset = generate_independent(600, 3, rng=51)
         region = random_hypercube_region(3, 0.08, rng=52)
         reference = solve_toprr(dataset, 5, region)
-        sharded = solve_toprr_sharded(dataset, 5, region, n_shards=3, executor="serial")
+        sharded = solve_sharded(dataset, 5, region, 3)
         assert_bit_identical(sharded, reference)
         with pytest.raises(TypeError):
             solve_toprr(dataset, 5, region, shards=3)
+        with pytest.raises(InvalidParameterError):
+            solve_toprr(dataset, 5, region, prefilter=3)
 
 
 class TestShardedEngineParity:

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.sharded import solve_toprr_sharded
+from repro.core.sharded import ShardedPrefilter
+from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
 from repro.data.sharding import (
     SEGMENT_PREFIX,
@@ -125,8 +126,7 @@ class TestEndToEndNoLeaks:
         )
         before = own_leaked_segments()
         with plan.installed():
-            result = solve_toprr_sharded(
-                dataset, 5, region, n_shards=3, executor="process", shard_retries=2
-            )
+            with ShardedPrefilter(3, executor="process", retries=2) as shards:
+                result = solve_toprr(dataset, 5, region, prefilter=shards)
         assert result.stats.n_worker_crashes == 1
         assert own_leaked_segments() == before == []

@@ -4,11 +4,11 @@ Covers the durable warm-cache contract end to end:
 
 * **restore-then-query parity** — a fresh engine restored from a snapshot
   answers its recorded query mix byte-identically, with first-query cache
-  hits, at d=3 and d=4 and with the prefilter on or off;
+  hits, at d=3 and d=4;
 * **state coverage** — empty caches, post-mutation caches, skyband-only
   restores, and cross-loads between sharded-prefilter and plain engines;
 * **refusals** — truncated and corrupt files, base64/array rot, newer
-  snapshot versions, mismatched datasets and prefilter modes all raise the
+  snapshot versions, mismatched datasets and unfiltered snapshots all raise the
   typed :class:`~repro.exceptions.SerializationError` instead of restoring
   something subtly wrong.
 """
@@ -90,18 +90,6 @@ class TestRoundTrip:
             assert restored.cache_info()["skyband"]["hits"] == before + 1
             assert answer.vertices_reduced.tobytes() == expected.vertices_reduced.tobytes()
 
-    def test_prefilter_off_round_trips_the_full_memo(self):
-        dataset = generate_synthetic("IND", 60, 3, rng=3)
-        engine = TopRREngine(dataset, prefilter=False, rng=3)
-        pairs = _workload(3, seed=3, n_pairs=2)
-        results = [engine.query(k, region) for k, region in pairs]
-        payload = snapshot_engine(engine)
-        assert payload["full_memo"] is not None
-        restored = TopRREngine(dataset, prefilter=False, rng=3)
-        counts = restore_engine(restored, payload)
-        assert counts["memo_rows"] > 0
-        _assert_parity(engine, restored, pairs, results)
-
     def test_empty_cache_snapshot_round_trips(self):
         dataset = generate_synthetic("IND", 40, 3, rng=5)
         engine = TopRREngine(dataset, rng=5)
@@ -158,10 +146,10 @@ class TestShardedDelegation:
     def _roundtrip(tmp_path, shards, save_sharded):
         dataset = generate_synthetic("IND", 80, 3, rng=9)
         pairs = _workload(3, seed=9, n_pairs=3)
-        saver = TopRREngine(dataset, rng=9, prefilter=shards if save_sharded else True)
+        saver = TopRREngine(dataset, rng=9, prefilter=shards if save_sharded else None)
         results = [saver.query(k, region) for k, region in pairs]
         path = saver.save_caches(tmp_path / "caches.json")
-        restored = TopRREngine(dataset, rng=9, prefilter=True if save_sharded else shards)
+        restored = TopRREngine(dataset, rng=9, prefilter=None if save_sharded else shards)
         counts = restored.load_caches(path)
         assert counts["result_entries"] == counts["skyband_entries"] == len(pairs)
         _assert_parity(saver, restored, pairs, results)
@@ -223,10 +211,15 @@ class TestRefusals:
             restore_engine(TopRREngine(other, rng=7), snapshot_engine(engine))
 
     def test_prefilter_mode_mismatch_is_refused(self):
+        # Snapshots of engines that ran without the r-skyband pre-filter
+        # cached entries no filtered engine would hold.
         dataset, engine, _pairs, _results = _warm_engine()
-        unfiltered = TopRREngine(dataset, prefilter=False, rng=7)
+        payload = copy.deepcopy(snapshot_engine(engine))
+        assert payload["engine"]["prefilter"] is True
+        assert "full_memo" not in payload
+        payload["engine"]["prefilter"] = False
         with pytest.raises(SerializationError, match="prefilter"):
-            restore_engine(unfiltered, snapshot_engine(engine))
+            restore_engine(TopRREngine(dataset, rng=7), payload)
 
     def test_corrupt_base64_payload_is_refused(self):
         dataset, engine, _pairs, _results = _warm_engine()
