@@ -1,8 +1,9 @@
 """Option-space sharded pre-filter versus the serial solve.
 
-On large catalogues the r-skyband pre-filter — an ``O(n)``-iteration Python
-loop over sorted score rows — dominates the end-to-end TopRR time (roughly
-90% of it at ``n = 60_000`` on independent data), and it is exactly the stage
+On large catalogues the r-skyband pre-filter is the stage whose cost grows
+with ``n`` (roughly 90% of the end-to-end TopRR time at ``n = 60_000`` on
+independent data while it was a row-by-row Python loop; far less with the
+block kernel of :mod:`repro.topk.skyband`), and it is exactly the stage
 the sharded path (:mod:`repro.core.sharded`) runs process-parallel against a
 shared-memory score matrix.  This benchmark times three arms on the same
 filter-heavy instance:

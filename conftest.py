@@ -5,7 +5,7 @@ keeps the test and benchmark suites runnable in minimal offline environments
 (no ``wheel`` package available for editable installs).
 
 Also registers the ``slow`` marker: the handful of long-running
-parity/experiment tests (dominated by the Table 7 elongation sweep) carry
+parity/experiment tests (the Table 7 elongation sweep among them) carry
 it so CI can run ``-m "not slow"`` and ``-m slow`` as two parallel jobs
 (both with ``pytest-xdist -n auto``) without losing coverage.  A plain
 ``pytest -x -q`` still runs everything.

@@ -19,12 +19,13 @@ valid.  This module provides the machinery to keep the valid ones:
 Eviction-soundness lemma
 ------------------------
 Cached entries are byte-level artefacts of
-:func:`~repro.pruning.rskyband.r_skyband`, which runs the sort-based
-k-skyband algorithm (:func:`~repro.topk.skyband.skyband_of_values`) on the
-vertex-score matrix ``S = D.values @ V_region^T``.  That algorithm processes
-rows in decreasing row-sum order (stable ties by position) and admits a row
-into the band iff fewer than ``k`` *already-admitted band rows* dominate it;
-rows refused admission never influence any later decision.  Two consequences,
+:func:`~repro.pruning.rskyband.r_skyband`, which runs the k-skyband kernel
+(:func:`~repro.topk.skyband.skyband_of_values`) on the vertex-score matrix
+``S = D.values @ V_region^T``.  The kernel makes exactly the decisions of
+the scan that processes rows in decreasing row-sum order (stable ties by
+position) and admits a row into the band iff fewer than ``k``
+*already-admitted band rows* dominate it; rows refused admission never
+influence any later decision.  Two consequences,
 both exact at the byte level and independent of the dominance tolerance:
 
 1. **Delete.**  Removing rows that are not in the band leaves every
@@ -71,6 +72,7 @@ from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.topk.skyband import count_dominators
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -233,7 +235,8 @@ def refused_admission(
     tol:
         The tolerance bundle the filter ran with (dominance uses
         ``tol.geometry``, as :func:`~repro.topk.skyband.skyband_of_values`
-        does).
+        does; both count through
+        :func:`~repro.topk.skyband.count_dominators`).
 
     Returns
     -------
@@ -243,22 +246,16 @@ def refused_admission(
     eviction-soundness lemma in the module docstring), so the band — and
     every cached artefact derived from it — is unchanged by that insert.
     """
-    if inserted_rows.size == 0:
-        return np.zeros(0, dtype=bool)
-    eps = tol.geometry
     sums = scores.sum(axis=1)
-    band_scores = scores[band_rows]
-    band_sums = sums[band_rows]
-    refused = np.zeros(inserted_rows.size, dtype=bool)
-    for i, row in enumerate(inserted_rows):
-        eligible = band_sums >= sums[row]
-        if np.count_nonzero(eligible) < k:
-            continue
-        candidates = band_scores[eligible]
-        geq = np.all(candidates >= scores[row] - eps, axis=1)
-        gt = np.any(candidates > scores[row] + eps, axis=1)
-        refused[i] = int(np.count_nonzero(geq & gt)) >= k
-    return refused
+    counts = count_dominators(
+        scores[inserted_rows],
+        scores[band_rows],
+        k,
+        tol,
+        row_keys=sums[inserted_rows],
+        band_keys=sums[band_rows],
+    )
+    return counts >= k
 
 
 def entry_survival(
@@ -301,8 +298,9 @@ def entry_survival(
     the mutated dataset's band is provably byte-identical to the cached one:
     no deleted option was a band member, and every inserted option is
     refused admission (see the module docstring for why both conditions are
-    exact).  Deciding costs one ``(n, d) @ (d, m)`` product plus one pass of
-    array comparisons per inserted option — no Python-loop skyband rerun.
+    exact).  Deciding costs one ``(n, d) @ (d, m)`` product plus one
+    :func:`~repro.topk.skyband.count_dominators` call of the inserted rows
+    against the band — no skyband rerun.
     """
     if delta.n_deleted:
         deleted = set(delta.deleted_ids)

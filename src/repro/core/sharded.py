@@ -20,7 +20,7 @@ r-dominate ``p`` transitively and dominate the dropped element —
 contradicting maximality — so every maximal dominator survives, and either
 way at least ``k`` members of ``S`` are in the union.  Counting within the
 union therefore reproduces every keep/drop decision of the global filter.
-(The sort-based skyband in :mod:`repro.topk.skyband` relies on the same
+(The skyband scan in :mod:`repro.topk.skyband` relies on the same
 transitivity argument; the differential suite in
 ``tests/test_sharded_differential.py`` checks the equality bit-for-bit.)
 
@@ -33,8 +33,9 @@ Concretely, a sharded pre-filter runs in three stages:
    — worker processes attach to the same physical pages instead of receiving
    pickled arrays;
 2. each shard's rows are filtered independently (serially in-process, or one
-   task per shard on a supervised process pool) — this is the
-   ``O(n)``-iteration stage that actually parallelises;
+   task per shard on a supervised process pool) — the block kernel of
+   :mod:`repro.topk.skyband`, whose cost grows with ``n``, is the stage that
+   parallelises;
 3. the per-shard candidates are merged and the skyband is re-run on the
    merged rows *of the same score matrix* (:func:`reconcile_candidates`),
    which by the decomposition above returns exactly the global r-skyband.

@@ -9,7 +9,7 @@ that every solver (PAC, TAS, TAS*) exposes the same bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 
 @dataclass
@@ -167,6 +167,18 @@ class SolverStats:
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             setattr(self, f.name, (mine or theirs) if isinstance(mine, bool) else mine + theirs)
 
+    def freeze(self) -> "SolverStats":
+        """Make these stats read-only, :attr:`extra` included (returns ``self``).
+
+        Called where a result enters a result cache, which hands the same
+        stats to every later hit.  Costs nothing per hit: the instance turns
+        into a :class:`FrozenSolverStats`, whose fields cannot be set.
+        """
+        if not isinstance(self, FrozenSolverStats):
+            self.extra = ReadOnlyDict(self.extra)
+            self.__class__ = FrozenSolverStats
+        return self
+
     @classmethod
     def from_dict(cls, payload: dict) -> "SolverStats":
         """Rebuild a :class:`SolverStats` from an :meth:`as_dict` payload.
@@ -187,3 +199,26 @@ class SolverStats:
             elif key != "vertex_cache_hit_rate":
                 stats.extra[key] = value
         return stats
+
+
+class FrozenSolverStats(SolverStats):
+    """:class:`SolverStats` shared by the hits of a result cache: read-only."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot set {name!r}: the stats of a cached result are read-only")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r}: the stats of a cached result are read-only")
+
+
+class ReadOnlyDict(dict):
+    """The :attr:`SolverStats.extra` of frozen stats: a dict whose mutators raise."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the stats of a cached result are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return ReadOnlyDict, (dict(self),)

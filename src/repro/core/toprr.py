@@ -96,7 +96,7 @@ class TopRRResult:
         self._tol = tol
 
     def make_read_only(self) -> "TopRRResult":
-        """Freeze ``V_all``, the lifted weights, the thresholds, ``oR`` and ``D'``.
+        """Freeze ``V_all``, the lifted weights, the thresholds, ``oR``, ``D'`` and the stats.
 
         Called where a result enters a result cache, which hands the same
         object to every later hit: a caller writing into its arrays then
@@ -109,6 +109,7 @@ class TopRRResult:
         if self.filtered is not self.dataset:
             self.filtered.values.setflags(write=False)
         self.polytope.make_read_only()
+        self.stats.freeze()
         return self
 
     # ------------------------------------------------------------------ #

@@ -68,7 +68,6 @@ def run_method(
                 "n_vertices": result.n_vertices,
                 "n_filtered": result.filtered.n_options,
                 "n_splits": result.stats.n_splits,
-                "volume": result.volume(),
             }
         )
     return Measurement(

@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.exceptions import EmptyRegionError, InvalidParameterError
 from repro.preference.region import PreferenceRegion
-from repro.topk.skyband import skyband_of_values
+from repro.topk.skyband import count_dominators, dominance_count, skyband_of_values
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 
@@ -52,8 +52,6 @@ def r_dominance_count(
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """Number of r-dominators of every option, capped at ``cap``."""
-    from repro.topk.skyband import dominance_count
-
     scores = vertex_score_matrix(dataset, region)
     return dominance_count(scores, cap=cap, tol=tol)
 
@@ -73,6 +71,4 @@ def r_dominates(
     vertices_full = region.full_vertices()
     scores_a = vertices_full @ np.asarray(option_a, dtype=float)
     scores_b = vertices_full @ np.asarray(option_b, dtype=float)
-    at_least = np.all(scores_a >= scores_b - tol.geometry)
-    strictly = np.any(scores_a > scores_b + tol.geometry)
-    return bool(at_least and strictly)
+    return bool(count_dominators(scores_b[None, :], scores_a[None, :], 1, tol)[0])

@@ -5,6 +5,8 @@ LRU eviction, batch execution (serial and process), cache warming, the
 engine-aware sampled baseline, and the CLI ``batch`` command.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,32 @@ class TestEngineQuery:
         assert other.stats.extra["skyband_cache_hit"] is True
         assert other.thresholds.tobytes() == fresh.thresholds.tobytes()
         assert other.vertices_reduced.tobytes() == fresh.vertices_reduced.tobytes()
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["solved", "snapshot"])
+    def test_cached_stats_cannot_be_poisoned(self, restored, tmp_path):
+        dataset = generate_independent(300, 3, rng=1)
+        region = PreferenceRegion.hyperrectangle([(0.3, 0.35), (0.3, 0.35)])
+        engine = TopRREngine(dataset)
+        first = engine.query(5, region)
+        if restored:
+            path = engine.save_caches(tmp_path / "caches.json")
+            engine = TopRREngine(dataset)
+            engine.load_caches(path)
+            first = engine.query(5, region)
+        before = first.stats.as_dict()
+        with pytest.raises(AttributeError):
+            first.stats.seconds = 999
+        with pytest.raises(AttributeError):
+            first.stats.n_regions_tested = -1
+        with pytest.raises(TypeError):
+            first.stats.extra["skyband_cache_hit"] = "poisoned"
+        with pytest.raises(TypeError):
+            first.stats.extra.update(poisoned=True)
+        hit = engine.query(5, region)
+        assert hit is first
+        assert hit.stats.as_dict() == before
+        # Frozen stats still pickle, e.g. into a worker process.
+        assert pickle.loads(pickle.dumps(hit.stats)).as_dict() == before
 
     def test_prefilter_must_be_a_sharded_prefilter(self, catalogue):
         for prefilter in (False, True, 4, "sharded"):
