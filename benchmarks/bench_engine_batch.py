@@ -14,7 +14,7 @@ The acceptance bar of the refactor is a >= 3x end-to-end speedup for the
 engine path; on a warm cache the repeated queries are LRU lookups, so the
 observed factor is usually close to the repeat rate (5x here).
 
-Run directly (``python benchmarks/bench_engine_batch.py``) or via pytest.
+Run directly (``PYTHONPATH=src python benchmarks/bench_engine_batch.py``) or via pytest.
 """
 
 import time

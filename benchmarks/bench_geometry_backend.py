@@ -23,7 +23,7 @@ Two arms, both asserting **bit-identical** results:
 
 Results are written to ``BENCH_geometry.json`` (schema documented in
 ``benchmarks/README.md``) so CI can archive the trajectory.  Run directly
-(``python benchmarks/bench_geometry_backend.py``) or via pytest;
+(``PYTHONPATH=src python benchmarks/bench_geometry_backend.py``) or via pytest;
 ``REPRO_BENCH_SCALE=smoke`` (the default) shrinks both arms.
 """
 

@@ -23,7 +23,7 @@ Results are written to ``BENCH_geometry3d.json`` (schema documented in
 ``benchmarks/README.md``) so CI can archive the trajectory; CI additionally
 trips on any non-zero ``n_lp_calls`` / ``n_qhull_calls`` recorded in it
 (backend-dispatch regression tripwire).  Run directly
-(``python benchmarks/bench_geometry_polyhedron.py``) or via pytest;
+(``PYTHONPATH=src python benchmarks/bench_geometry_polyhedron.py``) or via pytest;
 ``REPRO_BENCH_SCALE=smoke`` (the default) shrinks both arms.
 """
 

@@ -26,7 +26,7 @@ Acceptance bars (asserted at 1% churn): incremental requeries at least
 and a cache survivor rate of at least 0.8.
 
 Results are written to ``BENCH_mutation.json``.  Run directly
-(``python benchmarks/bench_mutation.py``) or via pytest;
+(``PYTHONPATH=src python benchmarks/bench_mutation.py``) or via pytest;
 ``REPRO_BENCH_SCALE=smoke`` (the default) uses a smaller instance.
 """
 

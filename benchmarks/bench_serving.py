@@ -21,7 +21,7 @@ latency ratio — a warm replica answers from an in-process dict, so the
 speedup is large but machine-dependent.
 
 Results are written to ``BENCH_serving.json``.  Run directly
-(``python benchmarks/bench_serving.py``) or via pytest;
+(``PYTHONPATH=src python benchmarks/bench_serving.py``) or via pytest;
 ``REPRO_BENCH_SCALE=smoke`` (the default) uses a smaller instance.
 """
 

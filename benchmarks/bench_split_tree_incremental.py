@@ -25,7 +25,7 @@ memo's own contribution and is reported alongside.  Results, including the
 vertex-score cache hit rate from :class:`~repro.core.stats.SolverStats`, are
 written to ``BENCH_split_tree.json`` so CI can archive the trajectory.
 
-Run directly (``python benchmarks/bench_split_tree_incremental.py``) or via
+Run directly (``PYTHONPATH=src python benchmarks/bench_split_tree_incremental.py``) or via
 pytest.  ``REPRO_BENCH_SCALE=smoke`` (the default) uses a smaller instance;
 any other scale runs the full-size workload.
 """

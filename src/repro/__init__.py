@@ -13,10 +13,9 @@ Tang, Mouratidis, Yiu and Chen.  It provides:
 * cost-optimal option creation / enhancement on top of the TopRR output,
 * a session-scoped query engine (:class:`repro.engine.TopRREngine`) that
   binds a dataset once and serves repeated / batched queries with
-  cross-query caching; :func:`solve_toprr` is its one-shot form, and the
-  parallel variants are objects passed to either (a
-  :class:`ShardedPrefilter` as ``prefilter``, a
-  :class:`~repro.core.parallel.RegionParallelSolver` as ``method``),
+  cross-query caching; :func:`solve_toprr` is its one-shot form, and
+  region-parallel TAS* is a solver object passed to either as ``method``
+  (:class:`~repro.core.parallel.RegionParallelSolver`),
 * an experiment harness regenerating every figure and table of the paper's
   evaluation section,
 * the monochromatic reverse top-k query, kept as an oracle that shares none
@@ -51,7 +50,6 @@ from repro.core.placement import (
     smallest_k_within_budget,
 )
 from repro.core.composite import constrain_result, solve_toprr_union
-from repro.core.sharded import ShardedPrefilter
 from repro.core.precompute import PrecomputedTopRR
 from repro.core.sampled import sampled_toprr
 from repro.engine import TopRREngine
@@ -74,7 +72,6 @@ __all__ = [
     "constrain_result",
     "PrecomputedTopRR",
     "TopRREngine",
-    "ShardedPrefilter",
     "sampled_toprr",
     "top_k",
     "top_k_score",

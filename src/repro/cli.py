@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.placement import cheapest_new_option
-from repro.core.sharded import ShardedPrefilter
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_synthetic
 from repro.engine import TopRREngine
@@ -79,45 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--distribution", default="IND", help="IND | COR | ANTI")
     solve.add_argument("--method", default="tas*", help="tas* | tas | pac")
     solve.add_argument("--seed", type=int, default=7, help="random seed")
-    solve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard the r-skyband pre-filter over N disjoint option partitions "
-        "(process-parallel, bit-identical result; default: unsharded)",
-    )
-    solve.add_argument(
-        "--shard-strategy",
-        default="contiguous",
-        help="contiguous | hash (default: contiguous); only with --shards",
-    )
-    solve.add_argument(
-        "--shard-executor",
-        default="process",
-        help="process | serial (default: process); only with --shards",
-    )
-    solve.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        help="per-batch deadline in seconds for pool shard tasks; a task still "
-        "running past it counts as hung and is retried on a fresh pool "
-        "(default: wait indefinitely); only with --shards",
-    )
-    solve.add_argument(
-        "--shard-retries",
-        type=int,
-        default=2,
-        help="pool re-submissions allowed per shard task after its first "
-        "failure (default: 2); only with --shards",
-    )
-    solve.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="fail the query (ShardExecutionError) when a shard stays "
-        "unrecoverable, instead of degrading it to serial in-process "
-        "execution; only with --shards",
-    )
 
     batch = sub.add_parser(
         "batch",
@@ -137,40 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         help="serial | process (default: serial); 'process' fans distinct queries "
-        "out over worker processes without shared caches — for CPU-bound scaling "
-        "on one large catalogue use --shards, which parallelises inside each query",
-    )
-    batch.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard the engine's r-skyband pre-filter: it runs process-parallel "
-        "over N option shards per query (ignores --executor)",
-    )
-    batch.add_argument(
-        "--shard-strategy",
-        default="contiguous",
-        help="contiguous | hash (default: contiguous); only with --shards",
-    )
-    batch.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        help="per-batch deadline in seconds for pool shard tasks "
-        "(default: wait indefinitely); only with --shards",
-    )
-    batch.add_argument(
-        "--shard-retries",
-        type=int,
-        default=2,
-        help="pool re-submissions allowed per shard task after its first "
-        "failure (default: 2); only with --shards",
-    )
-    batch.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="fail instead of degrading unrecoverable shard tasks to serial "
-        "in-process execution; only with --shards",
+        "out over worker processes without shared caches",
     )
     batch.add_argument("--seed", type=int, default=7, help="random seed")
     batch.add_argument(
@@ -214,13 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="baseline arm: clear every cache on each mutation instead of the "
         "incremental survival test",
     )
-    mutate.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard the engine's r-skyband pre-filter over N option shards "
-        "(serial executor); mutations re-plan the shards automatically",
-    )
     mutate.add_argument("--seed", type=int, default=7, help="random seed")
 
     serve = sub.add_parser(
@@ -234,13 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--distribution", default="IND", help="IND | COR | ANTI")
     serve.add_argument("--method", default="tas*", help="default solver: tas* | tas | pac")
     serve.add_argument("--seed", type=int, default=7, help="random seed")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard the engine's r-skyband pre-filter over N option shards "
-        "(process-parallel)",
-    )
     serve.add_argument(
         "--threads",
         type=int,
@@ -260,24 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _sharded_prefilter(args: argparse.Namespace, executor: str = "process"):
-    """The ``--shards`` pre-filter of a command's engine, or ``None`` without the flag.
-
-    Commands that lack a ``--shard-*`` flag use its default; the caller
-    closes the returned pre-filter.
-    """
-    if not args.shards:
-        return None
-    return ShardedPrefilter(
-        args.shards,
-        strategy=getattr(args, "shard_strategy", "contiguous"),
-        executor=getattr(args, "shard_executor", executor),
-        timeout=getattr(args, "shard_timeout", None),
-        retries=getattr(args, "shard_retries", 2),
-        fallback=not getattr(args, "no_fallback", False),
-    )
 
 
 def _churn_step(rng, dataset, fraction):
@@ -320,26 +215,8 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_solve(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
     region = random_hypercube_region(args.d, args.sigma, rng=args.seed + 1)
-    shards = _sharded_prefilter(args)
-    try:
-        result = solve_toprr(dataset, args.k, region, method=args.method, prefilter=shards)
-    finally:
-        if shards:
-            shards.close()
+    result = solve_toprr(dataset, args.k, region, method=args.method)
     print(format_table([result.summary()], title="TopRR result"))
-    if args.shards:
-        print(
-            f"\nsharded pre-filter: {result.stats.n_shards} shards "
-            f"({args.shard_strategy}, executor={args.shard_executor}), "
-            f"merge {result.stats.merge_seconds * 1000:.2f} ms"
-        )
-        if result.stats.degraded or result.stats.n_retries:
-            print(
-                f"resilience: {result.stats.n_retries} retries, "
-                f"{result.stats.n_worker_crashes} worker crashes, "
-                f"{result.stats.n_pool_rebuilds} pool rebuilds, "
-                f"{result.stats.n_degraded_shards} shard(s) degraded to serial"
-            )
     if not result.is_empty():
         placement = cheapest_new_option(result)
         values = ", ".join(f"{v:.4f}" for v in placement.option)
@@ -364,12 +241,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     ]
     queries = [pairs[i % distinct] for i in range(args.queries)]
 
-    shards = _sharded_prefilter(args)
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
-    if shards:
-        label = f"shards={shards.n_shards}x{args.shard_strategy}"
-    else:
-        label = f"executor={args.executor}"
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed)
     mutate_every = args.mutate_every
     if mutate_every is not None and mutate_every <= 0:
         print("error: --mutate-every must be positive", file=sys.stderr)
@@ -388,14 +260,10 @@ def _command_batch(args: argparse.Namespace) -> int:
                         n_deltas += 1
                 results.append(engine.query(k, region))
         else:
-            # A sharded pre-filter parallelises inside each query instead.
-            results = engine.query_batch(queries, executor="serial" if shards else args.executor)
+            results = engine.query_batch(queries, executor=args.executor)
     except InvalidParameterError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    finally:
-        if shards:
-            shards.close()
     seconds = time.perf_counter() - start
 
     rows = [results[i].summary() for i in range(distinct)]
@@ -403,7 +271,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     info = engine.cache_info()
     print(
         f"\n{len(results)} queries in {seconds:.2f}s "
-        f"({len(results) / max(seconds, 1e-9):.1f} queries/s, {label})"
+        f"({len(results) / max(seconds, 1e-9):.1f} queries/s, executor={args.executor})"
     )
     print(f"result cache: {info['results']}")
     print(f"r-skyband cache: {info['skyband']}")
@@ -435,64 +303,59 @@ def _command_mutate(args: argparse.Namespace) -> int:
         )
         for i in range(args.distinct)
     ]
-    shards = _sharded_prefilter(args, executor="serial")
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
-    try:
-        warm = time.perf_counter()
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed)
+    warm = time.perf_counter()
+    for k, region in pairs:
+        engine.query(k, region)
+    warm_seconds = time.perf_counter() - warm
+    print(
+        f"warmed {args.distinct} (k, region) pairs on n={args.n} d={args.d} "
+        f"in {warm_seconds:.2f}s"
+    )
+
+    rng = np.random.default_rng(args.seed + 99)
+    current = dataset
+    arm = "flush-all" if args.flush else "incremental"
+    total = time.perf_counter()
+    for round_index in range(args.rounds):
+        steps = _churn_step(rng, current, args.churn)
+        for current, delta in steps:
+            engine.apply_delta(current, delta)
+        if args.flush:
+            # Baseline arm: discard everything the maintenance kept, as a
+            # pre-mutation engine had to (apply_delta still rebinds the
+            # dataset).
+            engine.clear_caches()
+        round_timer = time.perf_counter()
         for k, region in pairs:
             engine.query(k, region)
-        warm_seconds = time.perf_counter() - warm
+        requery_seconds = time.perf_counter() - round_timer
         print(
-            f"warmed {args.distinct} (k, region) pairs on n={args.n} d={args.d} "
-            f"in {warm_seconds:.2f}s"
+            f"round {round_index + 1}/{args.rounds} ({arm}): "
+            f"{steps[0][1].n_inserted + steps[1][1].n_deleted} options churned, "
+            f"requery {requery_seconds * 1000:.1f} ms"
         )
+    total_seconds = time.perf_counter() - total
 
-        rng = np.random.default_rng(args.seed + 99)
-        current = dataset
-        arm = "flush-all" if args.flush else "incremental"
-        total = time.perf_counter()
-        for round_index in range(args.rounds):
-            steps = _churn_step(rng, current, args.churn)
-            for current, delta in steps:
-                engine.apply_delta(current, delta)
-            if args.flush:
-                # Baseline arm: discard everything the maintenance kept, as a
-                # pre-mutation engine had to (apply_delta still rebinds the
-                # dataset).
-                engine.clear_caches()
-            round_timer = time.perf_counter()
-            for k, region in pairs:
-                engine.query(k, region)
-            requery_seconds = time.perf_counter() - round_timer
-            print(
-                f"round {round_index + 1}/{args.rounds} ({arm}): "
-                f"{steps[0][1].n_inserted + steps[1][1].n_deleted} options churned, "
-                f"requery {requery_seconds * 1000:.1f} ms"
-            )
-        total_seconds = time.perf_counter() - total
-
-        info = engine.cache_info()
-        print(f"\n{args.rounds} rounds in {total_seconds:.2f}s ({arm} maintenance)")
-        if not args.flush:
-            mutations = info["mutations"]
-            print(
-                f"maintenance: {mutations['n_deltas']} deltas, survivor rate "
-                f"{mutations['survivor_rate']:.2f}, "
-                f"{mutations['n_dominance_tests']} dominance tests, "
-                f"{mutations['n_memos_salvaged']} memos salvaged"
-            )
-        # Parity tripwire: the maintained engine answers exactly like a fresh
-        # engine built on the final dataset.
-        k, region = pairs[0]
-        maintained = engine.query(k, region)
-        oracle = TopRREngine(current, method=args.method, rng=args.seed).query(k, region)
-        if maintained.vertices_reduced.tobytes() != oracle.vertices_reduced.tobytes():
-            print("error: maintained engine diverged from a fresh rebuild", file=sys.stderr)
-            return 1
-        print("parity: maintained results are bit-identical to a fresh rebuild")
-    finally:
-        if shards:
-            shards.close()
+    info = engine.cache_info()
+    print(f"\n{args.rounds} rounds in {total_seconds:.2f}s ({arm} maintenance)")
+    if not args.flush:
+        mutations = info["mutations"]
+        print(
+            f"maintenance: {mutations['n_deltas']} deltas, survivor rate "
+            f"{mutations['survivor_rate']:.2f}, "
+            f"{mutations['n_dominance_tests']} dominance tests, "
+            f"{mutations['n_memos_salvaged']} memos salvaged"
+        )
+    # Parity tripwire: the maintained engine answers exactly like a fresh
+    # engine built on the final dataset.
+    k, region = pairs[0]
+    maintained = engine.query(k, region)
+    oracle = TopRREngine(current, method=args.method, rng=args.seed).query(k, region)
+    if maintained.vertices_reduced.tobytes() != oracle.vertices_reduced.tobytes():
+        print("error: maintained engine diverged from a fresh rebuild", file=sys.stderr)
+        return 1
+    print("parity: maintained results are bit-identical to a fresh rebuild")
     return 0
 
 
@@ -505,8 +368,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serving.server import ToprrServer
 
     dataset = generate_synthetic(args.distribution, args.n, args.d, rng=args.seed)
-    shards = _sharded_prefilter(args)
-    engine = TopRREngine(dataset, method=args.method, rng=args.seed, prefilter=shards)
+    engine = TopRREngine(dataset, method=args.method, rng=args.seed)
     if args.snapshot:
         path = Path(args.snapshot)
         if not path.exists():
@@ -543,8 +405,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         if args.save_snapshot:
             path = engine.save_caches(args.save_snapshot)
             print(f"saved warm caches to {path}")
-        if shards:
-            shards.close()
     return 0
 
 

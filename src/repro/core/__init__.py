@@ -26,11 +26,10 @@
 * :mod:`repro.core.parallel` — parallel solving over a chopped ``wR``
   (future-work direction of Section 7): a
   :class:`~repro.core.parallel.RegionParallelSolver` passed as ``method``.
-* :mod:`repro.core.sharded` — option-space sharded solving: the r-skyband
-  pre-filter decomposed over disjoint option shards (process-parallel
-  against shared-memory score matrices) with exact cross-shard
-  reconciliation, a :class:`~repro.core.sharded.ShardedPrefilter` passed as
-  ``prefilter``.
+* :mod:`repro.core.sharded` — the decomposition theorem of the r-skyband
+  over disjoint option shards, with its serial reference
+  :func:`~repro.core.sharded.sharded_r_skyband` (a test of the theorem, not
+  a query path).
 * :mod:`repro.core.precompute` — per-dataset pre-computation for repeated
   queries (future-work direction of Section 7).
 """

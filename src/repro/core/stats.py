@@ -72,39 +72,18 @@ class SolverStats:
         Closed-form clipping passes performed during the solve (one per
         halfspace clip or hyperplane cut on the polygon / polyhedron
         backends).
-    n_shards:
-        Number of option-space shards the r-skyband pre-filter ran over
-        (``0`` on the unsharded path).  The sharded path records its
-        per-shard filter timings, candidate counts and executor under the
-        ``shard_*`` keys of :attr:`extra`.
     n_backend_fallbacks:
         Regions whose closed-form geometry backend (polygon / polyhedron)
         detected an inconsistent body — non-finite vertices, negative
         area/volume, a broken face ring — and demoted itself to the generic
         LP/qhull backend for that region.  Zero on healthy inputs.
-    n_retries:
-        Shard-task re-submissions the supervised pool performed for this
-        query (``0`` on the unsharded/healthy path).
-    n_worker_crashes:
-        Pool-worker crashes (``BrokenProcessPool``) observed while filtering
-        this query's shards.
-    n_pool_rebuilds:
-        Fresh process pools built after a crash or hang poisoned one.
-    n_degraded_shards:
-        Shard tasks that exhausted retries/rebuilds and ran serially
-        in-process instead (bit-identical results, reduced parallelism).
-    degraded:
-        True when at least one shard of this query fell back to serial
-        in-process execution — the result is still exact; the flag marks
-        that the parallel path was unhealthy.
-    merge_seconds:
-        Wall-clock time of the cross-shard top-k reconciliation (merging
-        per-shard candidates back into the exact global r-skyband); ``0``
-        on the unsharded path.
     seconds:
         Wall-clock time of the solve (filtering included unless noted).
     extra:
-        Free-form dictionary for experiment-specific counters.
+        Free-form dictionary for experiment-specific counters.  Documents
+        written by older versions may carry counters that are no longer
+        fields (the retired option-shard and worker-pool counters, for
+        example); :meth:`from_dict` loads those here.
     """
 
     n_input_options: int = 0
@@ -126,14 +105,7 @@ class SolverStats:
     n_lp_calls: int = 0
     n_qhull_calls: int = 0
     n_clip_calls: int = 0
-    n_shards: int = 0
     n_backend_fallbacks: int = 0
-    n_retries: int = 0
-    n_worker_crashes: int = 0
-    n_pool_rebuilds: int = 0
-    n_degraded_shards: int = 0
-    degraded: bool = False
-    merge_seconds: float = 0.0
     seconds: float = 0.0
     extra: dict = field(default_factory=dict)
 
@@ -155,17 +127,14 @@ class SolverStats:
         return data
 
     def add(self, other: "SolverStats") -> None:
-        """Accumulate ``other``'s counters into this one, field by field.
+        """Sum ``other``'s counters into this one, field by field.
 
-        Numeric fields are summed and ``degraded`` is or-ed; :attr:`extra`
-        is left alone.  Used to total the per-piece stats of a region-parallel
-        solve.
+        :attr:`extra` is left alone.  Used to total the per-piece stats of a
+        region-parallel solve.
         """
         for f in fields(self):
-            if f.name == "extra":
-                continue
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name, (mine or theirs) if isinstance(mine, bool) else mine + theirs)
+            if f.name != "extra":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def freeze(self) -> "SolverStats":
         """Make these stats read-only, :attr:`extra` included (returns ``self``).

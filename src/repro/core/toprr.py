@@ -17,7 +17,7 @@ the experiment harness needs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from repro.geometry.polytope import ConvexPolytope
 from repro.preference.region import PreferenceRegion
 from repro.utils.rng import RngLike
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
-
-if TYPE_CHECKING:  # typing only; the engine runs the pre-filter
-    from repro.core.sharded import ShardedPrefilter
 
 #: Method labels accepted by :func:`solve_toprr`.
 METHODS = ("tas*", "tas", "pac")
@@ -192,7 +189,6 @@ def solve_toprr(
     k: int,
     region: PreferenceRegion,
     method: SolverLike = "tas*",
-    prefilter: Optional["ShardedPrefilter"] = None,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TopRRResult:
@@ -212,11 +208,6 @@ def solve_toprr(
         ``"tas*"`` (default), ``"tas"``, ``"pac"``, or an already configured
         solver instance (e.g. a
         :class:`~repro.core.parallel.RegionParallelSolver`).
-    prefilter:
-        ``None`` (default) runs the r-skyband pre-filter in-process; a
-        :class:`~repro.core.sharded.ShardedPrefilter` runs it over option
-        shards instead, with a bit-identical result.  The caller owns (and
-        closes) the sharded pre-filter.
     rng:
         Seed or generator for the solver's randomised choices.
     tol:
@@ -240,7 +231,6 @@ def solve_toprr(
     engine = TopRREngine(
         dataset,
         method=method,
-        prefilter=prefilter,
         rng=rng,
         tol=tol,
         skyband_cache_size=0,

@@ -3,9 +3,6 @@
 * :mod:`repro.engine.engine` — :class:`TopRREngine`: bind a dataset once,
   answer many queries with cross-query caching (affine score form,
   r-skyband, full results), batch execution and cache warming.
-  Passing a :class:`~repro.core.sharded.ShardedPrefilter` as its
-  ``prefilter`` shards the r-skyband over disjoint option partitions, run on
-  a process pool against shared-memory score matrices.
 * :mod:`repro.engine.cache` — the bounded LRU used for the caches.
 * :mod:`repro.engine.fingerprint` — hashable region fingerprints (cache keys).
 """

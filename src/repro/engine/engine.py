@@ -40,14 +40,6 @@ Results are exactly those of :func:`~repro.core.toprr.solve_toprr` — the
 engine only changes where the intermediates come from, never what they are
 (the parity tests in ``tests/test_engine.py`` assert this).  A runnable tour
 of the cache behaviour lives in ``examples/quickstart.py``.
-
-**Sharded pre-filter.**  ``prefilter`` may be a
-:class:`~repro.core.sharded.ShardedPrefilter`: every r-skyband the engine
-computes then runs over disjoint option shards (serially or on a process
-pool) and is reconciled to the exact global band, so the engine — caches,
-snapshots, mutation maintenance and all — is unchanged on top, and its
-answers stay bit-identical.  The per-query shard counters land in the
-result's :class:`~repro.core.stats.SolverStats`.
 """
 
 from __future__ import annotations
@@ -68,7 +60,6 @@ from repro.core.mutation import (
     position_column_map,
 )
 from repro.core.scorecache import VertexScoreMemo
-from repro.core.sharded import ShardedPrefilter
 from repro.core.stats import SolverStats
 from repro.core.toprr import SolverLike, TopRRResult, make_solver
 from repro.data.dataset import Dataset
@@ -77,7 +68,7 @@ from repro.engine.fingerprint import region_fingerprint
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
-from repro.pruning.rskyband import r_skyband, vertex_score_matrix
+from repro.pruning.rskyband import r_skyband
 from repro.utils.rng import RngLike
 from repro.utils.timer import Timer
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
@@ -87,33 +78,6 @@ BATCH_EXECUTORS = ("serial", "process")
 
 #: One query of a batch: ``(k, region)``.
 QuerySpec = Tuple[int, PreferenceRegion]
-
-
-def _record_shards(stats: SolverStats, shards: ShardedPrefilter, info: Optional[dict]) -> None:
-    """Fold one query's sharded pre-filter counters into its stats.
-
-    ``info`` is :meth:`ShardedPrefilter.filter`'s bookkeeping, or ``None``
-    when the r-skyband came from the cache and no shard ran.
-    """
-    stats.n_shards = shards.n_shards
-    stats.extra["shard_strategy"] = shards.strategy
-    stats.extra["shard_executor"] = shards.executor
-    if info is None:
-        return
-    stats.merge_seconds = info["merge_seconds"]
-    stats.extra["shard_filter_seconds"] = info["filter_seconds"]
-    stats.extra["shard_seconds"] = info["shard_seconds"]
-    stats.extra["shard_candidates"] = info["shard_candidates"]
-    stats.extra["n_candidates"] = info["n_candidates"]
-    resilience = info["resilience"]
-    if resilience is not None:
-        stats.n_retries = resilience.n_retries
-        stats.n_worker_crashes = resilience.n_worker_crashes
-        stats.n_pool_rebuilds = resilience.n_pool_rebuilds
-        stats.n_degraded_shards = resilience.n_degraded_tasks
-        stats.degraded = resilience.degraded
-        if resilience.events:
-            stats.extra["resilience_events"] = list(resilience.events)
 
 
 def _solve_query_worker(dataset, k, region, method, rng, tol):
@@ -133,12 +97,6 @@ class TopRREngine:
     method:
         Default solver for queries that do not specify one
         (``"tas*"``, ``"tas"``, ``"pac"``, or a solver instance).
-    prefilter:
-        ``None`` (default) runs the r-skyband pre-filter in-process; a
-        :class:`~repro.core.sharded.ShardedPrefilter` runs it over option
-        shards with a bit-identical band.  The caller owns (and closes) a
-        sharded pre-filter.  Either way the cached entries are the same, so
-        snapshots restore across sharded and unsharded engines.
     rng:
         Seed for each query's solver (a fresh solver is built per query so
         repeated queries are deterministic and match ``solve_toprr``).
@@ -172,20 +130,13 @@ class TopRREngine:
         self,
         dataset: Dataset,
         method: SolverLike = "tas*",
-        prefilter: Optional[ShardedPrefilter] = None,
         rng: RngLike = 0,
         tol: Tolerance = DEFAULT_TOL,
         skyband_cache_size: int = 128,
         result_cache_size: int = 64,
     ):
-        if prefilter is not None and not isinstance(prefilter, ShardedPrefilter):
-            raise InvalidParameterError(
-                f"prefilter must be None or a ShardedPrefilter, got {prefilter!r}; "
-                "the r-skyband pre-filter always runs"
-            )
         self.dataset = dataset
         self.method = method
-        self.prefilter = prefilter
         self.rng = rng
         self.tol = tol
         self._space = PreferenceSpace(dataset.n_attributes)
@@ -226,16 +177,6 @@ class TopRREngine:
                 f"has {self.dataset.n_attributes} attributes"
             )
 
-    def _skyband(self, k: int, region: PreferenceRegion) -> Tuple[np.ndarray, Optional[dict]]:
-        """The r-skyband of ``(k, region)`` plus the sharded pre-filter's info.
-
-        The info is ``None`` on the unsharded path, which calls this module's
-        :func:`r_skyband` (the name the stage tracer patches).
-        """
-        if self.prefilter is None:
-            return r_skyband(self.dataset, k, region, tol=self.tol), None
-        return self.prefilter.filter(vertex_score_matrix(self.dataset, region), k, self.tol)
-
     def prefiltered(
         self, k: int, region: PreferenceRegion
     ) -> Tuple[Dataset, WorkingSet, VertexScoreMemo, bool]:
@@ -247,31 +188,28 @@ class TopRREngine:
         The vertex-score memo lives alongside the cached r-skyband entry, so
         repeated queries against the same ``(k, region)`` reuse each other's
         split-tree vertex scores even when the full result was not cached.
+        The filter is this module's :func:`r_skyband` (the name the stage
+        tracer patches).
         """
-        return self._prefilter(k, region)[:4]
-
-    def _prefilter(self, k: int, region: PreferenceRegion) -> tuple:
-        """:meth:`prefiltered` plus the shard info of a filter run here (else ``None``)."""
         coefficients, constants = self.affine_form()
         if self._skyband_cache.maxsize <= 0:
             # Cache disabled (the experiment runner's timing engines): skip
             # the fingerprint, the salvage lookup and the exact-vertex dump
             # entirely — none of them can pay off, and the fingerprint's
             # vertex enumeration would pollute the measured filter time.
-            kept, shard_info = self._skyband(k, region)
-            kept = np.asarray(kept, dtype=int)
+            kept = np.asarray(r_skyband(self.dataset, k, region, tol=self.tol), dtype=int)
             filtered = self.dataset.subset(kept, name=f"{self.dataset.name}[r-skyband]")
             working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
-            return filtered, working, VertexScoreMemo.for_working(working), False, shard_info
+            return filtered, working, VertexScoreMemo.for_working(working), False
 
         key = (int(k), region_fingerprint(region))
         cached = self._skyband_cache.get(key)
         if cached is not MISSING:
-            return cached[0], cached[1], cached[2], True, None
+            return cached[0], cached[1], cached[2], True
 
-        kept, shard_info = self._skyband(k, region)
+        kept = r_skyband(self.dataset, k, region, tol=self.tol)
         filtered, working, memo, _vertices = self._install_skyband(k, region, kept)
-        return filtered, working, memo, False, shard_info
+        return filtered, working, memo, False
 
     def cached_result(self, k: int, region: PreferenceRegion, method) -> Optional[TopRRResult]:
         """The cached :class:`TopRRResult` for ``(k, region, method)``, or ``None``.
@@ -360,7 +298,7 @@ class TopRREngine:
         stats.n_input_options = self.dataset.n_options
 
         timer = Timer().start()
-        filtered, working, memo, skyband_hit, shard_info = self._prefilter(k, region)
+        filtered, working, memo, skyband_hit = self.prefiltered(k, region)
         stats.n_filtered_options = filtered.n_options
 
         vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
@@ -368,8 +306,6 @@ class TopRREngine:
         stats.seconds = timer.stop()
         stats.n_after_lemma5 = stats.n_after_lemma5 or filtered.n_options
         stats.extra["skyband_cache_hit"] = bool(skyband_hit)
-        if self.prefilter is not None:
-            _record_shards(stats, self.prefilter, shard_info)
 
         result = TopRRResult(
             dataset=self.dataset,
@@ -407,11 +343,7 @@ class TopRREngine:
             ``"process"`` uses worker processes — fully parallel but without
             shared caches, appropriate for batches of mostly-distinct heavy
             queries.  (A thread executor is not offered: the solve is
-            CPU-bound Python, so threads cannot scale it.)  Workers run the
-            plain r-skyband even when this engine's is sharded.  For
-            CPU-bound scaling on one large catalogue, prefer a
-            :class:`~repro.core.sharded.ShardedPrefilter` (CLI ``--shards``),
-            which parallelises inside each query instead of across queries.
+            CPU-bound Python, so threads cannot scale it.)
         n_workers:
             Pool size for the ``"process"`` executor.
         """

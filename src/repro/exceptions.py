@@ -38,24 +38,3 @@ class SerializationError(InvalidParameterError):
     split keep catching load failures under the older type.
     """
 
-
-class EngineClosedError(ReproError):
-    """Raised when a closed :class:`~repro.core.sharded.ShardedPrefilter` is used.
-
-    ``close()`` shuts the worker pool down for good; a later ``filter`` (an
-    engine query or ``warm`` that misses the r-skyband cache) or ``health``
-    would otherwise silently respawn a pool, leaking workers past the
-    caller's lifecycle.  Whatever needs no filter run — cache hits,
-    ``cache_info``, snapshots, a second ``close()`` — stays usable.
-    """
-
-
-class ShardExecutionError(ReproError):
-    """Raised when a shard task stays unrecoverable and serial fallback is disabled.
-
-    The supervised pool (:class:`repro.core.resilient.SupervisedPool`) only
-    raises this after walking the whole degradation ladder — retries, pool
-    rebuild — with the in-process serial fallback explicitly turned off
-    (``--no-fallback``); with the fallback enabled (the default) shard
-    failures degrade instead of raising.
-    """

@@ -1,8 +1,7 @@
 """TopRR as a service: an asyncio HTTP front end over the query engines.
 
 The package turns session-scoped :class:`~repro.engine.engine.TopRREngine`
-instances (plain or with a :class:`~repro.core.sharded.ShardedPrefilter`)
-into a long-lived replica:
+instances into a long-lived replica:
 
 * :mod:`repro.serving.schemas` — JSON request/response schemas shared by
   the server, the CLI and the benchmark clients;

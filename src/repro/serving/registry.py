@@ -1,8 +1,7 @@
 """Per-dataset engine registry, solve coalescing, and mutate/solve exclusion.
 
 One serving replica fronts one or more datasets, each bound to its own
-:class:`~repro.engine.engine.TopRREngine` (plain or with a sharded
-pre-filter).  The registry wraps each in a
+:class:`~repro.engine.engine.TopRREngine`.  The registry wraps each in a
 :class:`ServedDataset` carrying the concurrency machinery the engines
 themselves don't need in library use:
 

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Optional, Tuple
 
 from repro.engine.fingerprint import region_fingerprint
-from repro.exceptions import EngineClosedError, InvalidParameterError, ReproError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.serving.registry import EngineRegistry, ServedDataset
 from repro.serving.schemas import (
     BatchRequest,
@@ -202,8 +202,6 @@ class ToprrServer:
                     return 400, {"error": f"request body is not valid JSON: {exc}"}
                 return 200, await handler(payload)
             return 200, await handler()
-        except EngineClosedError as exc:
-            return 409, {"error": str(exc)}
         except (InvalidParameterError, ReproError) as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - the replica must keep serving

@@ -81,22 +81,6 @@ class TestMutateCli:
         assert "survivor rate" not in out  # baseline arm keeps nothing to report
         assert "bit-identical to a fresh rebuild" in out
 
-    def test_mutate_sharded(self, capsys):
-        assert main(["mutate", *self.SMALL, "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical to a fresh rebuild" in out
-
-    def test_batch_sharded_cache_lines_match_unsharded(self, capsys):
-        args = ["batch", "--n", "400", "--d", "3", "--k", "4", "--queries", "10",
-                "--distinct", "10", "--seed", "3"]
-        cache_lines = []
-        for extra in ([], ["--shards", "2"]):
-            assert main(args + extra) == 0
-            out = capsys.readouterr().out
-            cache_lines.append([line for line in out.splitlines() if "cache:" in line])
-        assert cache_lines[0] == cache_lines[1]
-        assert "'misses': 10" in cache_lines[1][0]  # 10 cold queries, counted once
-
     def test_mutate_rejects_bad_churn(self, capsys):
         assert main(["mutate", "--churn", "1.5"]) == 2
         assert "--churn" in capsys.readouterr().err

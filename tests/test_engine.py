@@ -309,13 +309,6 @@ class TestEngineQuery:
         # Frozen stats still pickle, e.g. into a worker process.
         assert pickle.loads(pickle.dumps(hit.stats)).as_dict() == before
 
-    def test_prefilter_must_be_a_sharded_prefilter(self, catalogue):
-        for prefilter in (False, True, 4, "sharded"):
-            with pytest.raises(InvalidParameterError, match="prefilter"):
-                TopRREngine(catalogue, prefilter=prefilter)
-            with pytest.raises(InvalidParameterError, match="prefilter"):
-                solve_toprr(catalogue, 4, PreferenceRegion.interval(0.2, 0.3), prefilter=prefilter)
-
     def test_caller_dataset_stays_writable(self, regions):
         dataset = generate_independent(200, 3, rng=4)
         engine = TopRREngine(dataset)

@@ -10,10 +10,12 @@ answered by the long-lived engine is byte-compared — ``V_all``, lifted
 weights, thresholds, output polytope, r-skyband ids and values — against a
 from-scratch engine built directly on the mutated dataset.
 
-200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``),
-plus runs through a sharded pre-filter (1/2/4 shards, both strategies) and
-the shard-geometry edges: deleting down until shards are empty and
-inserting past the original contiguous shard bounds.
+200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``).
+The sharded schedules also check the r-skyband's decomposition over option
+shards (:func:`~repro.core.sharded.sharded_r_skyband`, 1/2/4 shards, both
+strategies) byte for byte on every mutated dataset, including the
+shard-geometry edges: deleting down until shards are empty and inserting
+past the original contiguous shard bounds.
 
 The module carries the ``mutation`` marker: CI runs it in the dedicated
 ``mutation-fuzz`` lane while the fast/slow lanes exclude it (a plain
@@ -25,12 +27,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.sharded import ShardedPrefilter
+from repro.core.sharded import sharded_r_skyband
 from repro.data.generators import generate_anticorrelated, generate_independent
 from repro.engine import TopRREngine
 from repro.preference.random_regions import random_hypercube_region
-from repro.pruning.rskyband import r_skyband, vertex_score_matrix
-from repro.utils.tolerance import DEFAULT_TOL
+from repro.pruning.rskyband import r_skyband
 
 pytestmark = pytest.mark.mutation
 
@@ -65,12 +66,23 @@ def mutate_once(rng, dataset, d, max_insert=6, max_delete=4):
     return dataset.insert_options(values)
 
 
-def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_event=2):
+def assert_sharded_band(dataset, k, region, n_shards, strategy, context=""):
+    """The sharded r-skyband of ``dataset`` is byte-identical to the global one."""
+    actual = sharded_r_skyband(dataset, k, region, n_shards, strategy)
+    expected = r_skyband(dataset, k, region)
+    assert actual.dtype == expected.dtype, context
+    assert actual.tobytes() == expected.tobytes(), context
+
+
+def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_event=2,
+                 shards=None):
     """One seeded insert/delete/query schedule against a long-lived engine.
 
     After every mutation the engine answers ``queries_per_event`` queries,
     each byte-compared against a fresh :class:`TopRREngine` built on the
-    mutated dataset (the oracle never sees any maintained state).
+    mutated dataset (the oracle never sees any maintained state).  With
+    ``shards=(n_shards, strategy)`` every queried ``(k, region)`` of a
+    mutated dataset is also put through :func:`assert_sharded_band`.
     """
     rng = np.random.default_rng(seed)
     generate = generate_independent if d == 3 else generate_anticorrelated
@@ -97,10 +109,11 @@ def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_eve
             k = ks[int(rng.integers(0, len(ks)))]
             result = engine.query(k, region)
             oracle = oracle_engine.query(k, region)
-            assert_bit_identical(
-                result, oracle, context=f"seed={seed} d={d} event={event} k={k}"
-            )
+            context = f"seed={seed} d={d} event={event} k={k}"
+            assert_bit_identical(result, oracle, context=context)
             assert result.dataset is current
+            if shards is not None:
+                assert_sharded_band(current, k, region, *shards, context=context)
     return engine
 
 
@@ -126,38 +139,21 @@ class TestUnshardedSchedules:
 
 
 class TestShardedSchedules:
-    """Engines with a sharded pre-filter: shards re-plan from the current n."""
+    """The mutated datasets of seeded schedules, each filtered per option shard."""
 
     @pytest.mark.parametrize("strategy", ["contiguous", "hash"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_fuzz_d3(self, n_shards, strategy):
         for i in range(4):
             seed = 90_000 + 100 * n_shards + 10 * len(strategy) + i
-            with ShardedPrefilter(n_shards, strategy=strategy, executor="serial") as shards:
-                run_schedule(seed, d=3, n0=120, max_k=5,
-                             engine_factory=lambda ds: TopRREngine(ds, prefilter=shards, rng=0))
+            run_schedule(seed, d=3, n0=120, max_k=5,
+                         engine_factory=lambda ds: TopRREngine(ds, rng=0),
+                         shards=(n_shards, strategy))
 
     def test_fuzz_d4_sharded(self):
-        with ShardedPrefilter(2, strategy="hash", executor="serial") as shards:
-            run_schedule(95_001, d=4, n0=40, max_k=3,
-                         engine_factory=lambda ds: TopRREngine(ds, prefilter=shards, rng=0),
-                         queries_per_event=1)
-
-    def test_process_executor_after_mutation(self):
-        """The worker pool survives a mutation: workers are stateless."""
-        dataset = generate_independent(600, 3, rng=3)
-        region = random_hypercube_region(3, 0.07, rng=4)
-        with ShardedPrefilter(2, executor="process") as shards:
-            engine = TopRREngine(dataset, prefilter=shards, rng=0)
-            engine.query(4, region)
-            mutated, delta = dataset.insert_options(
-                np.random.default_rng(5).random((30, 3))
-            )
-            engine.apply_delta(mutated, delta)
-            result = engine.query(4, region)
-            oracle = TopRREngine(mutated, rng=0).query(4, region)
-            assert_bit_identical(result, oracle)
-            assert shards.health()["n_batches"] >= 1
+        run_schedule(95_001, d=4, n0=40, max_k=3,
+                     engine_factory=lambda ds: TopRREngine(ds, rng=0),
+                     queries_per_event=1, shards=(2, "hash"))
 
 
 class TestShardGeometryEdges:
@@ -165,38 +161,36 @@ class TestShardGeometryEdges:
         """Deleting below the shard count leaves empty shards, not failures."""
         dataset = generate_independent(40, 3, rng=11)
         region = random_hypercube_region(3, 0.08, rng=12)
-        with ShardedPrefilter(4, executor="serial") as shards:
-            engine = TopRREngine(dataset, prefilter=shards, rng=0)
-            engine.query(3, region)
-            current = dataset
-            while current.n_options > 3:
-                count = min(8, current.n_options - 3)
-                current, delta = current.delete_options(
-                    positions=list(range(current.n_options - count, current.n_options))
-                )
-                engine.apply_delta(current, delta)
-                result = engine.query(2, region)
-                oracle = TopRREngine(current, rng=0).query(2, region)
-                assert_bit_identical(result, oracle, context=f"n={current.n_options}")
-            # 3 options across 4 shards: at least one shard is now empty.
-            kept, info = shards.filter(vertex_score_matrix(current, region), 2, DEFAULT_TOL)
-        assert 0 in info["shard_candidates"]
-        assert np.array_equal(kept, r_skyband(current, 2, region))
+        engine = TopRREngine(dataset, rng=0)
+        engine.query(3, region)
+        current = dataset
+        while current.n_options > 3:
+            count = min(8, current.n_options - 3)
+            current, delta = current.delete_options(
+                positions=list(range(current.n_options - count, current.n_options))
+            )
+            engine.apply_delta(current, delta)
+            result = engine.query(2, region)
+            oracle = TopRREngine(current, rng=0).query(2, region)
+            assert_bit_identical(result, oracle, context=f"n={current.n_options}")
+            for strategy in ("contiguous", "hash"):
+                assert_sharded_band(current, 2, region, 4, strategy, context=f"n={current.n_options}")
+        # 3 options across 4 shards: at least one shard is now empty.
+        assert current.n_options < 4
 
     def test_insert_past_shard_capacity(self):
         """Inserts grow the contiguous bounds; stale bounds must never apply."""
         dataset = generate_independent(20, 3, rng=21)
         region = random_hypercube_region(3, 0.08, rng=22)
         rng = np.random.default_rng(23)
-        with ShardedPrefilter(4, strategy="contiguous", executor="serial") as shards:
-            engine = TopRREngine(dataset, prefilter=shards, rng=0)
-            engine.query(3, region)
-            # Quintuple the dataset: every original shard's row range is
-            # exceeded, so any stale position map would slice garbage.
-            current, delta = dataset.insert_options(rng.random((80, 3)))
-            engine.apply_delta(current, delta)
-            result = engine.query(3, region)
-            oracle = TopRREngine(current, rng=0).query(3, region)
-            assert_bit_identical(result, oracle)
-            kept, _info = shards.filter(vertex_score_matrix(current, region), 3, DEFAULT_TOL)
-        assert np.array_equal(kept, r_skyband(current, 3, region))
+        engine = TopRREngine(dataset, rng=0)
+        engine.query(3, region)
+        assert_sharded_band(dataset, 3, region, 4, "contiguous")
+        # Quintuple the dataset: every original shard's row range is
+        # exceeded, so any stale position map would slice garbage.
+        current, delta = dataset.insert_options(rng.random((80, 3)))
+        engine.apply_delta(current, delta)
+        result = engine.query(3, region)
+        oracle = TopRREngine(current, rng=0).query(3, region)
+        assert_bit_identical(result, oracle)
+        assert_sharded_band(current, 3, region, 4, "contiguous")

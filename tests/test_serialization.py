@@ -164,9 +164,21 @@ class TestSolverStatsDict:
 
     def test_retired_stats_keys_load_into_extra(self, result):
         # Result documents written before the per-solve mutation counters
-        # were retired still carry them; they load as free-form extras.
+        # and the option-shard / worker-pool counters were retired still
+        # carry them; they load as free-form extras.
         document = result_to_dict(result)
-        retired = {"n_entries_survived": 2, "n_entries_evicted": 1, "n_dominance_tests": 7}
+        retired = {
+            "n_entries_survived": 2,
+            "n_entries_evicted": 1,
+            "n_dominance_tests": 7,
+            "n_shards": 4,
+            "n_retries": 1,
+            "n_worker_crashes": 1,
+            "n_pool_rebuilds": 1,
+            "n_degraded_shards": 2,
+            "degraded": True,
+            "merge_seconds": 0.0125,
+        }
         document["stats"].update(retired)
         loaded = result_from_dict(document, dataset=result.dataset)
         for key, value in retired.items():

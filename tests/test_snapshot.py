@@ -6,7 +6,7 @@ Covers the durable warm-cache contract end to end:
   answers its recorded query mix byte-identically, with first-query cache
   hits, at d=3 and d=4;
 * **state coverage** — empty caches, post-mutation caches, skyband-only
-  restores, and cross-loads between sharded-prefilter and plain engines;
+  restores, and a stored snapshot whose results carry retired stats keys;
 * **refusals** — truncated and corrupt files, base64/array rot, newer
   snapshot versions, mismatched datasets and unfiltered snapshots all raise the
   typed :class:`~repro.exceptions.SerializationError` instead of restoring
@@ -15,6 +15,7 @@ Covers the durable warm-cache contract end to end:
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from repro.core.serialization import (
     save_engine_snapshot,
     snapshot_engine,
 )
-from repro.core.sharded import ShardedPrefilter
 from repro.data.generators import generate_synthetic
 from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError, SerializationError
@@ -138,34 +138,39 @@ class TestRoundTrip:
         assert restored.n_queries == 0
 
 
-class TestShardedDelegation:
-    """A sharded pre-filter changes no snapshot byte: replicas of either kind
-    restore each other's snapshots and answer them from cache."""
+#: A snapshot saved by a replica whose r-skyband ran over two option shards
+#: (how it was made: ``tests/fixtures/README.md``).
+SHARDED_REPLICA_SNAPSHOT = Path(__file__).parent / "fixtures" / "sharded_replica_snapshot.json"
 
-    @staticmethod
-    def _roundtrip(tmp_path, shards, save_sharded):
+#: Stats fields of that replica's version that are no longer fields.
+RETIRED_STATS_KEYS = (
+    "n_shards",
+    "n_retries",
+    "n_worker_crashes",
+    "n_pool_rebuilds",
+    "n_degraded_shards",
+    "degraded",
+    "merge_seconds",
+)
+
+
+class TestShardedDelegation:
+    """A stored snapshot of a sharded replica still restores into a plain engine."""
+
+    def test_sharded_save_then_unsharded_restore(self):
         dataset = generate_synthetic("IND", 80, 3, rng=9)
         pairs = _workload(3, seed=9, n_pairs=3)
-        saver = TopRREngine(dataset, rng=9, prefilter=shards if save_sharded else None)
-        results = [saver.query(k, region) for k, region in pairs]
-        path = saver.save_caches(tmp_path / "caches.json")
-        restored = TopRREngine(dataset, rng=9, prefilter=None if save_sharded else shards)
-        counts = restored.load_caches(path)
+        restored = TopRREngine(dataset, rng=9)
+        counts = restored.load_caches(SHARDED_REPLICA_SNAPSHOT)
         assert counts["result_entries"] == counts["skyband_entries"] == len(pairs)
-        _assert_parity(saver, restored, pairs, results)
+        fresh = [TopRREngine(dataset, rng=9).query(k, region) for k, region in pairs]
+        _assert_parity(None, restored, pairs, fresh)
         assert restored.cache_info()["skyband"]["misses"] == 0
-
-    def test_sharded_save_then_unsharded_restore(self, tmp_path):
-        with ShardedPrefilter(2, executor="serial") as shards:
-            self._roundtrip(tmp_path, shards, save_sharded=True)
-
-    def test_sharded_restore_short_circuits_the_fanout(self, tmp_path):
-        # A plain replica's snapshot restores into a sharded one, which then
-        # answers the recorded mix without ever starting its worker pool.
-        with ShardedPrefilter(2, executor="process") as shards:
-            self._roundtrip(tmp_path, shards, save_sharded=False)
-            assert shards.health()["alive"] is False
-            assert shards.health()["n_batches"] == 0
+        for k, region in pairs:
+            stats = restored.query(k, region).stats
+            assert stats.extra["n_shards"] == 2
+            for key in RETIRED_STATS_KEYS:
+                assert key in stats.extra and not hasattr(stats, key), key
 
 
 class TestRefusals:
