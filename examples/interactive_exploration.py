@@ -1,4 +1,4 @@
-"""Interactive clientele exploration with pre-computation and parallel solving.
+"""Interactive clientele exploration on one engine, with parallel solving.
 
 Note: the parallel section only pays off on multi-core machines — on a
 single-core box the process pool adds overhead without any speed-up (the
@@ -6,18 +6,22 @@ answers remain identical either way, which is what the script checks).
 
 The scenario: an analyst explores several candidate clientele segments for
 the same product catalogue, asking for the top-ranking region and the
-cheapest placement in each.  Two of the library's scalability extensions
-(both named as future work in the paper's conclusion) make this interactive:
+cheapest placement in each.  Two of the library's tools make this
+interactive:
 
-* :class:`repro.core.precompute.PrecomputedTopRR` computes the dataset's
-  k-skyband once and memoises repeated queries;
-* :class:`repro.core.parallel.RegionParallelSolver`, passed to
-  ``solve_toprr`` as the method, chops the preference region across worker
-  processes for the occasional large segment.
+* :class:`repro.engine.TopRREngine` bound to the catalogue's k-skyband.
+  The k-skyband holds every option that can be in a top-k anywhere in the
+  preference space (Section 6.3), so this engine answers every query with
+  that ``k`` or less exactly as an engine on the whole catalogue would,
+  while each query filters a much smaller set.  Its result cache makes a
+  revisited segment free;
+* :class:`repro.core.parallel.RegionParallelSolver`, passed to the engine
+  as the method, chops the preference region across worker processes for
+  the occasional large segment.
 
 Run with::
 
-    python examples/interactive_exploration.py
+    PYTHONPATH=src python examples/interactive_exploration.py
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from repro import Dataset, PreferenceRegion, TopRREngine, solve_toprr
 from repro.core.parallel import RegionParallelSolver
 from repro.core.placement import cheapest_new_option
-from repro.core.precompute import PrecomputedTopRR
+from repro.topk.skyband import k_skyband
 
 
 def main() -> None:
@@ -47,19 +51,20 @@ def main() -> None:
         "balanced buyers": [(0.30, 0.37), (0.30, 0.37)],
     }
 
-    # --- one-off pre-computation -------------------------------------------------
+    # --- one-off pre-computation: the k-skyband ---------------------------------
     start = time.perf_counter()
-    index = PrecomputedTopRR(catalogue, k_max=k)
+    candidates = catalogue.subset(k_skyband(catalogue, k), name="catalogue[k-skyband]")
+    engine = TopRREngine(candidates)
     build_seconds = time.perf_counter() - start
     print(f"pre-computation: {catalogue.n_options} options reduced to "
-          f"{index.skyband_size} candidates in {build_seconds:.2f}s "
-          f"({index.reduction_factor:.1f}x smaller)")
+          f"{candidates.n_options} candidates in {build_seconds:.2f}s "
+          f"({catalogue.n_options / candidates.n_options:.1f}x smaller)")
 
     # --- interactive exploration -------------------------------------------------
     for name, bounds in segments.items():
         region = PreferenceRegion.hyperrectangle(bounds)
         start = time.perf_counter()
-        result = index.solve(k, region)
+        result = engine.query(k, region)
         seconds = time.perf_counter() - start
         placement = cheapest_new_option(result)
         print(f"\nsegment '{name}': solved in {seconds:.2f}s")
@@ -69,22 +74,16 @@ def main() -> None:
 
     # Revisiting a segment hits the result cache and is effectively free.
     start = time.perf_counter()
-    index.solve(k, PreferenceRegion.hyperrectangle(segments["balanced buyers"]))
+    engine.query(k, PreferenceRegion.hyperrectangle(segments["balanced buyers"]))
     print(f"\nrevisiting 'balanced buyers': {time.perf_counter() - start:.4f}s "
-          f"(cache {index.cache_info()})")
+          f"(result cache {engine.cache_info()['results']})")
 
-    # --- the same session through the TopRREngine --------------------------------
-    # TopRREngine generalises the memo above: bounded LRU caches, batch
-    # execution, and cache warming.  query_batch answers the whole segment
-    # mix in one call.
-    engine = TopRREngine(catalogue)
-    engine.warm([k], [PreferenceRegion.hyperrectangle(b) for b in segments.values()])
+    # query_batch answers the whole segment mix in one call, from the caches.
     start = time.perf_counter()
     batch = engine.query_batch(
         [(k, PreferenceRegion.hyperrectangle(b)) for b in segments.values()] * 2
     )
-    print(f"\nengine batch: {len(batch)} queries in {time.perf_counter() - start:.2f}s, "
-          f"caches {engine.cache_info()}")
+    print(f"engine batch: {len(batch)} queries in {time.perf_counter() - start:.4f}s")
 
     # --- a large segment, solved in parallel -------------------------------------
     wide = PreferenceRegion.hyperrectangle([(0.2, 0.5), (0.2, 0.5)])
@@ -94,15 +93,16 @@ def main() -> None:
 
     start = time.perf_counter()
     solver = RegionParallelSolver(n_workers=4, executor="process")
-    parallel = solve_toprr(catalogue, k, wide, method=solver)
+    parallel = engine.query(k, wide, method=solver)
     parallel_seconds = time.perf_counter() - start
 
     probes = rng.random((500, 3))
     identical = bool(
         np.array_equal(sequential.contains_many(probes), parallel.contains_many(probes))
     )
-    print(f"\nwide segment: sequential {sequential_seconds:.2f}s, "
-          f"parallel {parallel_seconds:.2f}s, answers identical: {identical}")
+    print(f"\nwide segment: whole catalogue {sequential_seconds:.2f}s, "
+          f"k-skyband engine in parallel {parallel_seconds:.2f}s, "
+          f"answers identical: {identical}")
 
 
 if __name__ == "__main__":

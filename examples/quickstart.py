@@ -7,7 +7,7 @@ the top-10 for every such customer.
 
 Run with::
 
-    python examples/quickstart.py
+    PYTHONPATH=src python examples/quickstart.py
 """
 
 from __future__ import annotations

@@ -13,9 +13,12 @@ Tang, Mouratidis, Yiu and Chen.  It provides:
 * cost-optimal option creation / enhancement on top of the TopRR output,
 * a session-scoped query engine (:class:`repro.engine.TopRREngine`) that
   binds a dataset once and serves repeated / batched queries with
-  cross-query caching; :func:`solve_toprr` is its one-shot form, and
-  region-parallel TAS* is a solver object passed to either as ``method``
-  (:class:`~repro.core.parallel.RegionParallelSolver`),
+  cross-query caching; :func:`solve_toprr` is its one-shot form, and the
+  two are the only ways to run a query.  Region-parallel TAS* is a solver
+  object passed to either as ``method``
+  (:class:`~repro.core.parallel.RegionParallelSolver`), and repeated
+  queries with ``k <= k_max`` can run on an engine bound to
+  ``D.subset(k_skyband(D, k_max))``,
 * an experiment harness regenerating every figure and table of the paper's
   evaluation section,
 * the monochromatic reverse top-k query, kept as an oracle that shares none
@@ -50,7 +53,6 @@ from repro.core.placement import (
     smallest_k_within_budget,
 )
 from repro.core.composite import constrain_result, solve_toprr_union
-from repro.core.precompute import PrecomputedTopRR
 from repro.core.sampled import sampled_toprr
 from repro.engine import TopRREngine
 from repro.topk.query import top_k, top_k_score
@@ -70,7 +72,6 @@ __all__ = [
     "smallest_k_within_budget",
     "solve_toprr_union",
     "constrain_result",
-    "PrecomputedTopRR",
     "TopRREngine",
     "sampled_toprr",
     "top_k",

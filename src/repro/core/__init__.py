@@ -30,8 +30,13 @@
   over disjoint option shards, with its serial reference
   :func:`~repro.core.sharded.sharded_r_skyband` (a test of the theorem, not
   a query path).
-* :mod:`repro.core.precompute` — per-dataset pre-computation for repeated
-  queries (future-work direction of Section 7).
+
+Every query enters through :func:`~repro.core.toprr.solve_toprr` or
+:class:`~repro.engine.TopRREngine`.  The paper's other future-work
+direction, pre-computation for repeated queries, is the engine itself (its
+r-skyband and result caches) or an engine bound to
+``D.subset(k_skyband(D, k_max))``, which answers every ``k <= k_max`` query
+exactly as an engine bound to ``D`` does (Section 6.3).
 """
 
 from repro.core.toprr import TopRRResult, solve_toprr
@@ -43,7 +48,6 @@ from repro.core.verify import verify_result_by_sampling
 from repro.core.composite import constrain_result, solve_toprr_union
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.sharded import sharded_r_skyband
-from repro.core.precompute import PrecomputedTopRR
 from repro.core.serialization import load_result, save_result
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "sampled_toprr",
     "evaluate_sampled_exactness",
     "sharded_r_skyband",
-    "PrecomputedTopRR",
     "save_result",
     "load_result",
 ]

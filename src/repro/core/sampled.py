@@ -25,12 +25,7 @@ guarantee, while the exact methods get it at comparable cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import TopRREngine
 
 from repro.core.impact import build_impact_region
 from repro.core.stats import SolverStats
@@ -53,7 +48,6 @@ def sampled_toprr(
     include_vertices: bool = True,
     rng: RngLike = 0,
     tol: Tolerance = DEFAULT_TOL,
-    engine: Optional["TopRREngine"] = None,
 ) -> TopRRResult:
     """Inexact TopRR answer from ``n_samples`` weight vectors sampled inside ``wR``.
 
@@ -69,12 +63,6 @@ def sampled_toprr(
         region's corners are unguarded).
     rng:
         Seed or generator for the sampling.
-    engine:
-        Optional :class:`repro.engine.TopRREngine` bound to ``dataset``; when
-        given, the r-skyband pre-filter (which the baseline runs first, as
-        the exact methods do) is served from (and feeds) the
-        engine's cross-query cache, so baseline comparisons against engine
-        sessions do not re-filter.
 
     Returns
     -------
@@ -89,25 +77,15 @@ def sampled_toprr(
         raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
     if region.n_attributes != dataset.n_attributes:
         raise InvalidParameterError("region and dataset disagree on the number of attributes")
-    if engine is not None:
-        if engine.dataset is not dataset:
-            raise InvalidParameterError("engine is bound to a different dataset")
-        if engine.tol != tol:
-            raise InvalidParameterError(
-                "engine was built with a different tolerance bundle; its cached r-skyband "
-                "results would not match this call's tol"
-            )
 
     rng = ensure_rng(rng)
     stats = SolverStats()
     stats.n_input_options = dataset.n_options
 
     timer = Timer().start()
-    if engine is not None:
-        filtered, _working, _memo, _cache_hit = engine.prefiltered(k, region)
-    else:
-        kept = r_skyband(dataset, k, region, tol=tol)
-        filtered = dataset.subset(kept, name=f"{dataset.name}[r-skyband]")
+    # The baseline runs the same r-skyband pre-filter as the exact methods.
+    kept = r_skyband(dataset, k, region, tol=tol)
+    filtered = dataset.subset(kept, name=f"{dataset.name}[r-skyband]")
     stats.n_filtered_options = filtered.n_options
 
     sampled = region.sample_weights(n_samples, rng)

@@ -163,7 +163,14 @@ class TopRREngine:
         return self._affine
 
     def _validate(self, k: int, region: PreferenceRegion) -> None:
-        """Reject out-of-range ``k`` and dataset/region dimension mismatches."""
+        """Reject a non-integer or out-of-range ``k`` and dimension mismatches.
+
+        ``k`` must be a Python or numpy integer: a ``bool``, a float (even an
+        integral one) or a string is refused rather than coerced, since the
+        filter and the cache key would otherwise read it differently.
+        """
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise InvalidParameterError(f"k must be an integer, got {k!r}")
         if k <= 0:
             raise InvalidParameterError(f"k must be positive, got {k}")
         if k > self.dataset.n_options:
@@ -347,7 +354,7 @@ class TopRREngine:
         n_workers:
             Pool size for the ``"process"`` executor.
         """
-        specs: List[QuerySpec] = [(int(k), region) for k, region in queries]
+        specs: List[QuerySpec] = [(k, region) for k, region in queries]
         if executor not in BATCH_EXECUTORS:
             raise InvalidParameterError(
                 f"unknown executor {executor!r}; expected one of {BATCH_EXECUTORS}"

@@ -2,16 +2,14 @@
 
 The paper's evaluation isolates its three algorithmic optimizations
 (Figures 12-14).  The runners here extend that analysis to the design
-decisions the paper argues for in prose but does not plot, and to the two
-future-work directions its conclusion names:
+decisions the paper argues for in prose but does not plot, and to the
+parallel-solving direction its conclusion names:
 
 * :func:`ablation_sampling` — the exact methods versus the sampled baseline
   of Section 2.1 (how often an "answer" computed from sampled weight vectors
   endorses a placement that is *not* top-ranking throughout ``wR``);
 * :func:`ablation_parallel` — speed-up and answer-equivalence of the
-  chop-``wR``-and-merge parallel solver;
-* :func:`ablation_precompute` — amortised cost of repeated queries with and
-  without the per-dataset pre-computation.
+  chop-``wR``-and-merge parallel solver.
 
 Each runner follows the same conventions as :mod:`repro.experiments.figures`:
 it returns a list of flat row dictionaries ready for
@@ -25,7 +23,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.parallel import RegionParallelSolver
-from repro.core.precompute import PrecomputedTopRR
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
 from repro.experiments.config import Scale, defaults
@@ -137,74 +134,11 @@ def ablation_parallel(
     return rows
 
 
-# --------------------------------------------------------------------------- #
-# Pre-computation for repeated queries (Section 7 future work)
-# --------------------------------------------------------------------------- #
-def ablation_precompute(
-    scale: Scale = Scale.SCALED,
-    n_repeated_queries: int = 6,
-) -> List[dict]:
-    """Repeated-query workload with and without the per-dataset pre-computation.
-
-    An analyst explores ``n_repeated_queries`` clientele regions (with one
-    region revisited) against the same dataset.  Rows compare the direct
-    per-query path with :class:`~repro.core.precompute.PrecomputedTopRR`
-    (whose one-off build cost is reported separately).
-    """
-    scale = Scale.parse(scale)
-    base = defaults(scale)
-    dataset = make_dataset(scale)
-    regions = [
-        workload.region
-        for workload in make_queries(scale, dataset=dataset, n_queries=max(2, n_repeated_queries - 1))
-    ]
-    # Revisit the first region to exercise the result cache.
-    regions = (regions + [regions[0]])[:n_repeated_queries]
-    k = base.k
-
-    direct_timer = Timer().start()
-    direct_results = [solve_toprr(dataset, k, region) for region in regions]
-    direct_seconds = direct_timer.stop()
-
-    index = PrecomputedTopRR(dataset, k_max=max(k, 10))
-    indexed_timer = Timer().start()
-    indexed_results = [index.solve(k, region) for region in regions]
-    indexed_seconds = indexed_timer.stop()
-
-    probes = ensure_rng(base.seed).random((256, dataset.n_attributes))
-    all_match = all(
-        np.array_equal(direct.contains_many(probes), indexed.contains_many(probes))
-        for direct, indexed in zip(direct_results, indexed_results)
-    )
-
-    return [
-        {
-            "configuration": "direct solve per query",
-            "n_queries": len(regions),
-            "build_seconds": 0.0,
-            "query_seconds": round(direct_seconds, 4),
-            "total_seconds": round(direct_seconds, 4),
-            "candidate_options": dataset.n_options,
-            "answers_match": True,
-        },
-        {
-            "configuration": "precomputed skyband + cache",
-            "n_queries": len(regions),
-            "build_seconds": round(index.precompute_seconds, 4),
-            "query_seconds": round(indexed_seconds, 4),
-            "total_seconds": round(index.precompute_seconds + indexed_seconds, 4),
-            "candidate_options": index.skyband_size,
-            "answers_match": bool(all_match),
-        },
-    ]
-
-
 #: Registry of the extension experiments, mirroring ``EXPERIMENTS`` in
 #: :mod:`repro.experiments.figures`.
 ABLATIONS: Dict[str, Callable[..., List[dict]]] = {
     "ablation_sampling": ablation_sampling,
     "ablation_parallel": ablation_parallel,
-    "ablation_precompute": ablation_precompute,
 }
 
 

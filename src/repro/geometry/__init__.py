@@ -29,7 +29,7 @@ from repro.geometry.polytope import (
 )
 from repro.geometry.polygon import Polygon, polygon_from_halfspaces
 from repro.geometry.polyhedron import Polyhedron, polyhedron_from_halfspaces
-from repro.geometry.chebyshev import chebyshev_center, chebyshev_centre, is_feasible
+from repro.geometry.chebyshev import chebyshev_center, is_feasible
 from repro.geometry.counters import geometry_counters
 from repro.geometry.vertex_enum import (
     canonicalize_polygon_vertices,
@@ -52,7 +52,6 @@ __all__ = [
     "use_backend",
     "geometry_counters",
     "chebyshev_center",
-    "chebyshev_centre",
     "is_feasible",
     "minimize_quadratic_cost",
     "project_point_onto_polytope",

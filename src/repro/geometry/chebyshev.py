@@ -12,7 +12,6 @@ largest inscribed ball.  It serves two purposes in this package:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -130,23 +129,3 @@ def maximize_linear(
     point = np.asarray(res.x, dtype=float)
     return point, float(objective @ point)
 
-
-def chebyshev_centre(
-    A: np.ndarray,
-    b: np.ndarray,
-    bound: float = 1e6,
-) -> Tuple[Optional[np.ndarray], float]:
-    """Deprecated British-spelling alias of :func:`chebyshev_center`.
-
-    The package historically mixed both spellings (the module function was
-    ``chebyshev_center`` while :class:`~repro.geometry.polytope.ConvexPolytope`
-    exposed a ``chebyshev_centre`` property).  ``chebyshev_center`` is the one
-    canonical name; this alias emits a :class:`DeprecationWarning` and will be
-    removed in a future release.
-    """
-    warnings.warn(
-        "chebyshev_centre is deprecated; use chebyshev_center",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return chebyshev_center(A, b, bound=bound)

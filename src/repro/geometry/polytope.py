@@ -407,16 +407,6 @@ class ConvexPolytope:
         center = self._cheb()[0]
         return None if center is None else center.copy()
 
-    @property
-    def chebyshev_centre(self) -> Optional[np.ndarray]:
-        """Deprecated British-spelling alias of :attr:`chebyshev_center`."""
-        warnings.warn(
-            "ConvexPolytope.chebyshev_centre is deprecated; use chebyshev_center",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.chebyshev_center
-
     def is_empty(self) -> bool:
         """Return True if the polytope has no point at all."""
         return self._cheb()[0] is None

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.ablations import (
     ABLATIONS,
     ablation_parallel,
-    ablation_precompute,
     ablation_sampling,
     run_ablation,
 )
@@ -26,20 +25,9 @@ class TestAblationRunners:
         assert all(row["answers_match"] for row in rows)
         assert len(rows) == 2
 
-    def test_precompute_rows(self):
-        rows = ablation_precompute(Scale.SMOKE, n_repeated_queries=3)
-        assert len(rows) == 2
-        direct, precomputed = rows
-        assert precomputed["candidate_options"] <= direct["candidate_options"]
-        assert precomputed["answers_match"]
-
     def test_registry_and_dispatch(self):
-        assert set(ABLATIONS) == {
-            "ablation_sampling",
-            "ablation_parallel",
-            "ablation_precompute",
-        }
-        rows = run_ablation("ablation_precompute", Scale.SMOKE, n_repeated_queries=2)
-        assert [row["n_queries"] for row in rows] == [2, 2]
+        assert set(ABLATIONS) == {"ablation_sampling", "ablation_parallel"}
+        rows = run_ablation("ablation_sampling", Scale.SMOKE, sample_counts=[4])
+        assert [row["n_samples"] for row in rows] == [4]
         with pytest.raises(KeyError):
             run_ablation("does_not_exist", Scale.SMOKE)

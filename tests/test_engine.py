@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.sampled import sampled_toprr
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
 from repro.engine import LRUCache, TopRREngine, region_fingerprint
@@ -261,6 +260,31 @@ class TestEngineQuery:
         with pytest.raises(InvalidParameterError):
             engine.query(5, PreferenceRegion.hyperrectangle([(0.2, 0.3), (0.2, 0.3), (0.1, 0.2)]))
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+    def test_non_integer_k_is_rejected_before_any_work(self, catalogue, regions, k):
+        # A fractional k once filtered with 2.5 but answered and cached as
+        # k=2, and query_batch truncated it silently; every entry point now
+        # refuses it with the typed error and caches nothing.
+        engine = TopRREngine(catalogue)
+        with pytest.raises(InvalidParameterError, match="k must be an integer"):
+            solve_toprr(catalogue, k, regions[0])
+        with pytest.raises(InvalidParameterError, match="k must be an integer"):
+            engine.query(k, regions[0])
+        with pytest.raises(InvalidParameterError, match="k must be an integer"):
+            engine.query_batch([(k, regions[0])])
+        with pytest.raises(InvalidParameterError, match="k must be an integer"):
+            engine.warm([k], regions[:1])
+        assert engine.cache_info()["skyband"]["currsize"] == 0
+        assert engine.cache_info()["results"]["currsize"] == 0
+
+    def test_numpy_integer_k_shares_the_cache_of_int_k(self, catalogue, regions):
+        engine = TopRREngine(catalogue)
+        first = engine.query(np.int64(3), regions[0])
+        assert engine.query(3, regions[0]) is first
+        assert engine.query_batch([(np.int32(3), regions[0])])[0] is first
+        reference = solve_toprr(catalogue, 3, regions[0])
+        assert first.thresholds.tobytes() == reference.thresholds.tobytes()
+
     @pytest.mark.parametrize("restored", [False, True], ids=["solved", "snapshot"])
     def test_filtered_subset_cannot_poison_the_skyband_cache(self, restored, tmp_path):
         # The result's D' is the cached r-skyband entry's dataset: writing
@@ -354,22 +378,6 @@ class TestEngineBatch:
         assert engine.warm([4], regions[:1]) == 0  # already cached
         engine.query(4, regions[0])
         assert engine.cache_info()["skyband"]["hits"] >= 1
-
-
-class TestSampledWithEngine:
-    def test_sampled_reuses_engine_prefilter(self, catalogue, regions):
-        engine = TopRREngine(catalogue)
-        engine.warm([5], regions[:1])
-        baseline = sampled_toprr(catalogue, 5, regions[0], n_samples=16, engine=engine)
-        plain = sampled_toprr(catalogue, 5, regions[0], n_samples=16)
-        assert baseline.filtered.n_options == plain.filtered.n_options
-        assert engine.cache_info()["skyband"]["hits"] >= 1
-
-    def test_sampled_rejects_foreign_engine(self, catalogue, regions):
-        other = generate_independent(100, 3, rng=3)
-        engine = TopRREngine(other)
-        with pytest.raises(InvalidParameterError):
-            sampled_toprr(catalogue, 5, regions[0], engine=engine)
 
 
 class TestCLIBatch:

@@ -1,19 +1,19 @@
-"""Tests for the core extensions: sampled baseline, parallel solving, pre-computation."""
+"""Tests for the core extensions: sampled baseline, parallel solving, subset-engine parity."""
 
 import hashlib
-import inspect
 
 import numpy as np
 import pytest
 
 from repro.core.parallel import RegionParallelSolver, split_region_into_boxes
-from repro.core.precompute import RESULT_CACHE_SIZE, PrecomputedTopRR, region_fingerprint
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
 from repro.core.toprr import solve_toprr
+from repro.data.dataset import Dataset
 from repro.data.generators import generate_independent
 from repro.engine import TopRREngine
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
+from repro.topk.skyband import k_skyband
 
 #: SHA-256 of ``V_all``, ``thresholds`` and the ``oR`` vertices of the
 #: region-parallel answer on the ``market`` / ``region`` fixtures (k=8,
@@ -167,72 +167,61 @@ class TestParallelSolving:
         assert answer_sha256(result) == PARALLEL_ANSWER_SHA256
 
 
-class TestPrecomputedTopRR:
-    def test_matches_unindexed_answer(self, market, region):
-        index = PrecomputedTopRR(market, k_max=10)
-        direct = solve_toprr(market, 8, region)
-        indexed = index.solve(8, region)
-        probes = np.random.default_rng(23).random((500, 3))
-        assert np.array_equal(indexed.contains_many(probes), direct.contains_many(probes))
-        assert np.allclose(np.sort(indexed.thresholds), np.sort(direct.thresholds))
+class TestSubsetEngineParity:
+    """An engine bound to the ``k_max``-skyband answers like one bound to ``D``.
+
+    The k-skyband holds every option that can reach a top-k anywhere in the
+    preference space (Section 6.3), so for each ``k <= k_max`` the subset
+    engine must return the same ``V_all``, thresholds and ``oR`` bytes, and
+    name the same existing options, as the engine on the whole dataset.
+    """
+
+    K_MAX = 8
+
+    @staticmethod
+    def engines(dataset, k_max):
+        subset = dataset.subset(k_skyband(dataset, k_max), name=f"{dataset.name}[{k_max}-skyband]")
+        return TopRREngine(dataset), TopRREngine(subset)
+
+    @staticmethod
+    def assert_same_answer(full, reduced):
+        assert answer_sha256(reduced) == answer_sha256(full)
+        full_ids = [full.dataset.option_ids[i] for i in full.existing_top_ranking_options()]
+        reduced_ids = [reduced.dataset.option_ids[i] for i in reduced.existing_top_ranking_options()]
+        assert reduced_ids == full_ids
 
     def test_candidate_set_is_much_smaller(self, market):
-        index = PrecomputedTopRR(market, k_max=10)
-        assert index.skyband_size < market.n_options
-        assert index.reduction_factor > 2
+        kept = k_skyband(market, self.K_MAX)
+        assert market.n_options / kept.size > 2
 
-    def test_cache_hits_on_repeated_queries(self, market, region):
-        index = PrecomputedTopRR(market, k_max=10)
-        first = index.solve(5, region)
-        second = index.solve(5, region)
-        assert second is first
-        assert index.cache_info()["hits"] == 1
-        # A different k is a different cache entry.
-        index.solve(6, region)
-        assert index.cache_info()["entries"] == 2
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("k", range(1, K_MAX + 1))
+    def test_answer_bytes_match_the_full_engine(self, market, region, k, wide):
+        # On the wide region a (k-1)-skyband already changes the k=2 answer,
+        # so this parity is not vacuous.
+        if wide:
+            region = PreferenceRegion.hyperrectangle([(0.1, 0.45), (0.1, 0.45)])
+        full, reduced = self.engines(market, self.K_MAX)
+        self.assert_same_answer(full.query(k, region), reduced.query(k, region))
 
-    def test_result_cache_is_bounded(self):
-        bound = inspect.signature(TopRREngine).parameters["result_cache_size"].default
-        assert RESULT_CACHE_SIZE == bound
-        index = PrecomputedTopRR(generate_independent(60, 3, rng=5), k_max=2)
-        for i in range(RESULT_CACHE_SIZE + 6):
-            low = 0.2 + 0.002 * i
-            index.solve(1, PreferenceRegion.hyperrectangle([(low, low + 0.05), (0.3, 0.35)]))
-        info = index.cache_info()
-        assert info["entries"] == RESULT_CACHE_SIZE
-        assert info["misses"] == RESULT_CACHE_SIZE + 6
-        result = index.solve(1, PreferenceRegion.hyperrectangle([(0.2, 0.25), (0.3, 0.35)]))
-        with pytest.raises(ValueError):
-            result.thresholds[0] = 0
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_duplicate_options(self, region, k):
+        base = generate_independent(400, 3, rng=41)
+        top = base.values[k_skyband(base, 2)]
+        dataset = Dataset(np.vstack([base.values, top, top[:5]]), name="duplicates")
+        full, reduced = self.engines(dataset, 4)
+        kept = reduced.dataset.values
+        assert np.unique(kept, axis=0).shape[0] < kept.shape[0]  # duplicates reach the subset
+        self.assert_same_answer(full.query(k, region), reduced.query(k, region))
 
-    def test_existing_options_reported_in_original_indices(self, market, region):
-        index = PrecomputedTopRR(market, k_max=10)
-        indexed = index.solve(8, region)
-        direct = solve_toprr(market, 8, region)
-        assert set(indexed.existing_top_ranking_options().tolist()) == set(
-            direct.existing_top_ranking_options().tolist()
-        )
-
-    def test_k_beyond_kmax_falls_back(self, market, region):
-        index = PrecomputedTopRR(market, k_max=3)
-        result = index.solve(6, region)
-        direct = solve_toprr(market, 6, region)
-        probes = np.random.default_rng(29).random((300, 3))
-        assert np.array_equal(result.contains_many(probes), direct.contains_many(probes))
-
-    def test_fingerprint_distinguishes_regions(self, region):
-        other = PreferenceRegion.hyperrectangle([(0.31, 0.38), (0.28, 0.36)])
-        assert region_fingerprint(region) != region_fingerprint(other)
-        assert region_fingerprint(region) == region_fingerprint(region)
-
-    def test_invalid_parameters(self, market, region):
-        with pytest.raises(InvalidParameterError):
-            PrecomputedTopRR(market, k_max=0)
-        index = PrecomputedTopRR(market, k_max=5)
-        with pytest.raises(InvalidParameterError):
-            index.solve(0, region)
-        with pytest.raises(InvalidParameterError):
-            index.solve(3, PreferenceRegion.interval(0.2, 0.4))
+    def test_existing_options_map_to_the_same_option_ids(self, market):
+        # A wide region and a large k, so that some existing options are
+        # already top-ranking and the id mapping is exercised.
+        wide = PreferenceRegion.hyperrectangle([(0.3, 0.34), (0.3, 0.34)])
+        full, reduced = self.engines(market, self.K_MAX)
+        answer = full.query(self.K_MAX, wide)
+        assert answer.existing_top_ranking_options().size > 0
+        self.assert_same_answer(answer, reduced.query(self.K_MAX, wide))
 
 
 class TestParallelIncrementalRouting:

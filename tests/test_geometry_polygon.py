@@ -9,15 +9,14 @@ Three layers:
 * **degenerate cases**: segments, points, empty systems, slivers around the
   radius tolerance, and unbounded intermediate H-representations;
 * **unit tests** of the :class:`~repro.geometry.polygon.Polygon` primitives
-  (clipping, cutting with a shared cut edge, area, centroid, counters) and
-  of the ``chebyshev_center`` / ``chebyshev_centre`` spelling deprecation.
+  (clipping, cutting with a shared cut edge, area, centroid, counters).
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DegeneratePolytopeError
-from repro.geometry.chebyshev import chebyshev_center, chebyshev_centre
+from repro.geometry.chebyshev import chebyshev_center
 from repro.geometry.counters import geometry_counters
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.hyperplane import Hyperplane
@@ -236,49 +235,3 @@ class TestPolygonPrimitives:
         assert polygon.is_empty()
         center, radius = polygon_chebyshev(A, b, polygon)
         assert center is None and radius == float("-inf")
-
-
-class TestChebyshevSpelling:
-    """`chebyshev_center` is canonical; the British spelling is deprecated.
-
-    Both deprecated aliases (the module function and the
-    :class:`ConvexPolytope` property) must actually *emit* a
-    ``DeprecationWarning`` naming the replacement, and must return exactly
-    — to the byte — what the canonical spelling returns.
-    """
-
-    def test_function_alias_warns_and_agrees(self):
-        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        b = np.array([1.0, 0.0, 1.0, 0.0])
-        with pytest.warns(DeprecationWarning, match="use chebyshev_center"):
-            alias_center, alias_radius = chebyshev_centre(A, b)
-        center, radius = chebyshev_center(A, b)
-        assert alias_center.tobytes() == center.tobytes()
-        assert alias_radius == radius
-
-    def test_function_alias_forwards_keyword_arguments(self):
-        A = np.array([[1.0, 0.0]])
-        b = np.array([0.5])
-        with pytest.warns(DeprecationWarning):
-            _center, alias_radius = chebyshev_centre(A, b, bound=10.0)
-        _c, radius = chebyshev_center(A, b, bound=10.0)
-        assert alias_radius == radius == pytest.approx(10.0)
-
-    @pytest.mark.parametrize("backend", ["polygon", "qhull"])
-    def test_property_alias_warns_and_agrees(self, backend):
-        square = ConvexPolytope.from_box([0.0, 0.0], [1.0, 1.0], backend=backend)
-        with pytest.warns(DeprecationWarning, match="use chebyshev_center"):
-            alias = square.chebyshev_centre
-        assert alias.tobytes() == square.chebyshev_center.tobytes()
-
-    def test_aliases_are_silent_when_unused(self, recwarn):
-        square = ConvexPolytope.from_box([0.0, 0.0], [1.0, 1.0])
-        _ = square.chebyshev_center
-        _c, _r = chebyshev_center(np.array([[1.0, 0.0]]), np.array([0.5]))
-        deprecations = [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
-
-    def test_alias_still_importable_from_package_root(self):
-        from repro.geometry import chebyshev_centre as root_alias
-
-        assert root_alias is chebyshev_centre

@@ -155,7 +155,7 @@ class TestSolverStatsDict:
             if f.name == "extra":
                 continue
             default = getattr(stats, f.name)
-            value = (not default) if isinstance(default, bool) else type(default)(index + 1.5)
+            value = type(default)(index + 1.5)
             setattr(stats, f.name, value)
             assert value != default
         payload = stats.as_dict()
