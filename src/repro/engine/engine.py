@@ -185,7 +185,7 @@ class TopRREngine:
             )
 
     def prefiltered(
-        self, k: int, region: PreferenceRegion
+        self, k: int, region: PreferenceRegion, fingerprint: Optional[Tuple] = None
     ) -> Tuple[Dataset, WorkingSet, VertexScoreMemo, bool]:
         """``(D', root working set, score memo, cache_hit)`` for one ``(k, region)`` pair.
 
@@ -196,7 +196,8 @@ class TopRREngine:
         repeated queries against the same ``(k, region)`` reuse each other's
         split-tree vertex scores even when the full result was not cached.
         The filter is this module's :func:`r_skyband` (the name the stage
-        tracer patches).
+        tracer patches).  ``fingerprint`` is ``region_fingerprint(region)``
+        when the caller already has it; it is computed here otherwise.
         """
         coefficients, constants = self.affine_form()
         if self._skyband_cache.maxsize <= 0:
@@ -209,13 +210,14 @@ class TopRREngine:
             working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
             return filtered, working, VertexScoreMemo.for_working(working), False
 
-        key = (int(k), region_fingerprint(region))
-        cached = self._skyband_cache.get(key)
+        if fingerprint is None:
+            fingerprint = region_fingerprint(region)
+        cached = self._skyband_cache.get((int(k), fingerprint))
         if cached is not MISSING:
             return cached[0], cached[1], cached[2], True
 
         kept = r_skyband(self.dataset, k, region, tol=self.tol)
-        filtered, working, memo, _vertices = self._install_skyband(k, region, kept)
+        filtered, working, memo, _vertices = self._install_skyband(k, region, fingerprint, kept)
         return filtered, working, memo, False
 
     def cached_result(self, k: int, region: PreferenceRegion, method) -> Optional[TopRRResult]:
@@ -229,9 +231,10 @@ class TopRREngine:
         cached = self._result_cache.get((int(k), region_fingerprint(region), method.lower()))
         return None if cached is MISSING else cached
 
-    def _install_skyband(self, k: int, region: PreferenceRegion, kept) -> tuple:
+    def _install_skyband(self, k: int, region: PreferenceRegion, fingerprint: Tuple, kept) -> tuple:
         """Cache the r-skyband ``kept`` of ``(k, region)`` and return its entry.
 
+        ``fingerprint`` is ``region_fingerprint(region)``, the entry's key.
         ``kept`` are ascending positional indices into this engine's dataset
         — exactly what :func:`~repro.pruning.rskyband.r_skyband` returns.
         The entry is ``(filtered dataset, root working set sliced from the
@@ -244,7 +247,7 @@ class TopRREngine:
         filtered = self.dataset.subset(kept, name=f"{self.dataset.name}[r-skyband]")
         filtered.values.setflags(write=False)
         working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
-        key = (int(k), region_fingerprint(region))
+        key = (int(k), fingerprint)
         salvaged = self._mutation_salvage.pop(key, None)
         if salvaged is not None:
             # A mutation evicted this (k, region) entry but parked its memo:
@@ -293,9 +296,12 @@ class TopRREngine:
             self.n_queries += 1
         method = self.method if method is None else method
 
+        # One fingerprint per query, shared by the result and r-skyband keys.
+        fingerprint: Optional[Tuple] = None
         result_key: Optional[tuple] = None
         if use_cache and isinstance(method, str) and self._result_cache.maxsize > 0:
-            result_key = (int(k), region_fingerprint(region), method.lower())
+            fingerprint = region_fingerprint(region)
+            result_key = (int(k), fingerprint, method.lower())
             cached = self._result_cache.get(result_key)
             if cached is not MISSING:
                 return cached
@@ -305,7 +311,7 @@ class TopRREngine:
         stats.n_input_options = self.dataset.n_options
 
         timer = Timer().start()
-        filtered, working, memo, skyband_hit = self.prefiltered(k, region)
+        filtered, working, memo, skyband_hit = self.prefiltered(k, region, fingerprint)
         stats.n_filtered_options = filtered.n_options
 
         vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
@@ -353,6 +359,10 @@ class TopRREngine:
             CPU-bound Python, so threads cannot scale it.)
         n_workers:
             Pool size for the ``"process"`` executor.
+
+        Every ``(k, region)`` is validated before any is solved: a batch
+        with one bad query raises :class:`InvalidParameterError` without
+        solving (or caching) the others and without starting a pool.
         """
         specs: List[QuerySpec] = [(k, region) for k, region in queries]
         if executor not in BATCH_EXECUTORS:
@@ -361,6 +371,8 @@ class TopRREngine:
             )
         if n_workers <= 0:
             raise InvalidParameterError(f"n_workers must be positive, got {n_workers}")
+        for k, region in specs:
+            self._validate(k, region)
 
         if executor == "serial" or len(specs) <= 1:
             return [self.query(k, region, method=method, use_cache=use_cache) for k, region in specs]

@@ -12,7 +12,8 @@ this module extends the same closed-form treatment one dimension up:
   — receive bit-identical crossing coordinates;
 * a **cut by a hyperplane** classifies the vertices once and emits both
   children; the cap polygon on the cut plane (the shared cut facet) is
-  rebuilt by chaining the per-face cut edges;
+  rebuilt by chaining the per-face cut edges, reversed so that every face
+  ring stays wound counter-clockwise seen from outside;
 * the **Chebyshev centre** of a polyhedron is an LP in four variables whose
   optimum is attained at a basic solution: enumerating facet 4-tuples with
   batched ``4 x 4`` solves reproduces it in closed form;
@@ -169,8 +170,9 @@ class Polyhedron:
         if self.points.shape[0] == 0:
             return self
         geometry_counters.n_clip_calls += 1
-        signed = self.points @ np.asarray(normal, dtype=float) - float(offset)
-        return self._emit_side(signed, label, tol, {})
+        normal = np.asarray(normal, dtype=float)
+        signed = self.points @ normal - float(offset)
+        return self._emit_side(signed, normal, label, tol, {})
 
     def cut(
         self,
@@ -191,39 +193,57 @@ class Polyhedron:
         if self.points.shape[0] == 0:
             return self, self
         geometry_counters.n_clip_calls += 1
-        signed = self.points @ np.asarray(normal, dtype=float) - float(offset)
-        crossings: Dict[tuple, np.ndarray] = {}
-        below = self._emit_side(signed, label, tol, crossings)
-        above = self._emit_side(-signed, label, tol, crossings)
+        normal = np.asarray(normal, dtype=float)
+        signed = self.points @ normal - float(offset)
+        crossings: Dict[tuple, List[float]] = {}
+        below = self._emit_side(signed, normal, label, tol, crossings)
+        above = self._emit_side(-signed, -normal, label, tol, crossings)
         return below, above
 
+    @staticmethod
     def _crossing(
-        self, i: int, j: int, signed: np.ndarray, crossings: Dict[tuple, np.ndarray]
-    ) -> Tuple[tuple, np.ndarray]:
+        i: int,
+        j: int,
+        signed: List[float],
+        coords: List[List[float]],
+        crossings: Dict[tuple, List[float]],
+    ) -> Tuple[tuple, List[float]]:
         """Crossing point of edge ``(i, j)`` with the clip plane, cached.
 
         The interpolation always runs from the smaller to the larger vertex
         index, so both faces sharing the edge — and, on a :meth:`cut`, both
         children (a sign flip of ``signed`` cancels exactly in the
-        parameter ``t``) — receive the same bytes.
+        parameter ``t``) — receive the same bytes.  ``coords`` are the
+        vertex coordinates as Python floats: each coordinate is
+        ``lo + t * (hi - lo)``, rounded after every operation exactly as the
+        equivalent numpy expression would be.
         """
         key = _edge_key(i, j)
         point = crossings.get(key)
         if point is None:
             lo, hi = key[1], key[2]
             t = signed[lo] / (signed[lo] - signed[hi])
-            point = self.points[lo] + t * (self.points[hi] - self.points[lo])
+            point = [a + t * (c - a) for a, c in zip(coords[lo], coords[hi])]
             crossings[key] = point
         return key, point
 
     def _emit_side(
         self,
         signed: np.ndarray,
+        outward: np.ndarray,
         cut_label: int,
         tol: Tolerance,
-        crossings: Dict[tuple, np.ndarray],
+        crossings: Dict[tuple, List[float]],
     ) -> "Polyhedron":
-        """One clipping pass keeping ``signed <= tol.geometry``."""
+        """One clipping pass keeping ``signed <= tol.geometry``.
+
+        ``outward`` is the normal of the kept side's cap face (the direction
+        in which ``signed`` grows); the cap ring is wound around it like
+        every other face ring.  Ring positions are keyed ``("v", i)`` for a
+        kept vertex ``i`` and ``("e", lo, hi)`` for a crossing point.  The
+        loop runs on Python lists and floats: the same IEEE arithmetic as on
+        numpy scalars and 3-vectors, without their per-element cost.
+        """
         tolg = tol.geometry
         inside = signed <= tolg
         if bool(inside.all()):
@@ -231,39 +251,39 @@ class Polyhedron:
         if not bool(inside.any()):
             return Polyhedron(np.empty((0, 3)), ())
 
-        coords: Dict[tuple, np.ndarray] = {}
+        values = signed.tolist()
+        kept = inside.tolist()
+        coords = self.points.tolist()
+        crossed: Dict[tuple, List[float]] = {}
         new_rings: List[Tuple[List[tuple], int]] = []
         cut_edges: List[Tuple[tuple, tuple]] = []
         for ring, label in self.faces:
             out_keys: List[tuple] = []
             exit_key: Optional[tuple] = None
             entry_key: Optional[tuple] = None
-            m = ring.shape[0]
-            for pos in range(m):
-                i = int(ring[pos])
-                j = int(ring[(pos + 1) % m])
-                d0, d1 = signed[i], signed[j]
-                if inside[i]:
+            positions = ring.tolist()
+            for i, j in zip(positions, positions[1:] + positions[:1]):
+                d0, d1 = values[i], values[j]
+                if kept[i]:
                     key = ("v", i)
                     out_keys.append(key)
-                    coords[key] = self.points[i]
-                    if not inside[j]:
+                    if not kept[j]:
                         if d0 < -tolg:
                             # Strictly inside -> strictly outside: a real
                             # crossing; the boundary leaves along the cut.
-                            ckey, cpoint = self._crossing(i, j, signed, crossings)
+                            ckey, cpoint = self._crossing(i, j, values, coords, crossings)
                             out_keys.append(ckey)
-                            coords[ckey] = cpoint
+                            crossed[ckey] = cpoint
                             exit_key = ckey
                         else:
                             # The vertex itself lies on the cut plane.
                             exit_key = key
-                elif inside[j]:
+                elif kept[j]:
                     if d1 < -tolg and d0 > tolg:
                         # Strictly outside -> strictly inside: re-entry.
-                        ckey, cpoint = self._crossing(i, j, signed, crossings)
+                        ckey, cpoint = self._crossing(i, j, values, coords, crossings)
                         out_keys.append(ckey)
-                        coords[ckey] = cpoint
+                        crossed[ckey] = cpoint
                         entry_key = ckey
                     else:
                         # Outside -> "on": the re-entry point *is* vertex j,
@@ -274,7 +294,7 @@ class Polyhedron:
             if exit_key is not None and entry_key is not None and exit_key != entry_key:
                 cut_edges.append((exit_key, entry_key))
 
-        cap = _chain_cap(cut_edges, coords)
+        cap = _chain_cap(cut_edges, coords, crossed, outward)
         if cap is not None:
             new_rings.append((cap, int(cut_label)))
 
@@ -282,42 +302,53 @@ class Polyhedron:
             # Lower-dimensional intersection (the plane grazes the body):
             # keep the surviving points so emptiness verdicts stay correct,
             # but drop the face structure — the body has no interior.
-            keys = [("v", int(i)) for i in np.flatnonzero(inside)]
-            keys.extend(k for k in coords if k[0] == "e")
             return Polyhedron(
-                np.asarray([coords.get(k, self.points[k[1]]) for k in keys]).reshape(-1, 3),
+                np.vstack([self.points[inside], np.reshape(list(crossed.values()), (-1, 3))]),
                 (),
             )
 
         index: Dict[tuple, int] = {}
-        rows: List[np.ndarray] = []
-        faces: List[Face] = []
+        rows: List[List[float]] = []
+        faces = []
         for keys, label in new_rings:
-            ring = np.empty(len(keys), dtype=int)
-            for pos, key in enumerate(keys):
+            ring = []
+            for key in keys:
                 slot = index.get(key)
                 if slot is None:
-                    slot = len(rows)
-                    index[key] = slot
-                    rows.append(coords[key])
-                ring[pos] = slot
+                    slot = index[key] = len(rows)
+                    rows.append(crossed[key] if key[0] == "e" else coords[key[1]])
+                ring.append(slot)
             faces.append((ring, label))
-        return Polyhedron(np.asarray(rows), faces)
+        return Polyhedron(np.array(rows), faces)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Polyhedron(n_vertices={self.n_vertices}, n_faces={self.n_faces})"
 
 
 def _chain_cap(
-    cut_edges: List[Tuple[tuple, tuple]], coords: Dict[tuple, np.ndarray]
+    cut_edges: List[Tuple[tuple, tuple]],
+    coords: List[List[float]],
+    crossed: Dict[tuple, List[float]],
+    outward: np.ndarray,
 ) -> Optional[List[tuple]]:
     """Assemble the cap-face ring from the per-face cut edges.
 
-    Each clipped face contributes one directed segment on the cut plane;
-    because face rings are consistently wound, the segments chain head to
-    tail into a single cycle.  Tolerance-degenerate inputs (duplicate
-    starts, open chains) fall back to ordering the cap vertices by angle
-    around their mean in the cut plane — always a valid convex ring.
+    Each clipped face contributes one directed segment ``exit -> entry`` on
+    the cut plane, walked in the direction of that face's ring.  Because
+    face rings are consistently wound, the segments chain head to tail into
+    a single cycle.  The cap shares each of those edges with one face, so it
+    must walk them the other way: the chained cycle is returned *reversed*.
+    That keeps every ring wound counter-clockwise seen from outside (its
+    Newell normal points along its facet's outward normal), which in turn
+    lets the next clip chain its cap again instead of meeting duplicate
+    starts.
+
+    Tolerance-degenerate inputs (duplicate starts, open chains) fall back to
+    ordering the cap vertices by angle around their mean in the cut plane —
+    always a valid convex ring — oriented so that its Newell normal points
+    along ``outward`` (the kept side's cap normal).  ``coords`` holds the
+    clipped body's vertices (keys ``("v", i)``), ``crossed`` the crossing
+    points (keys ``("e", lo, hi)``).
     """
     if len(cut_edges) < 3:
         return None
@@ -338,31 +369,48 @@ def _chain_cap(
             node = succ.get(node)
         if node != first or len(ring) != len(succ):
             ring = None
+        else:
+            ring.reverse()
     if ring is None:
         keys = sorted({key for edge in cut_edges for key in edge})
-        pts = np.asarray([coords[key] for key in keys])
+        pts = np.asarray([crossed[key] if key[0] == "e" else coords[key[1]] for key in keys])
         center = pts.mean(axis=0)
         spread = pts - center
         # Project onto the two principal directions of the cap polygon and
         # order by angle; SVD gives a deterministic in-plane basis.
         _u, _s, vt = np.linalg.svd(spread, full_matrices=False)
         angles = np.arctan2(spread @ vt[1], spread @ vt[0])
-        ring = [keys[i] for i in np.argsort(angles, kind="stable")]
+        order = np.argsort(angles, kind="stable")
+        # Newell normal of the sorted loop: flip it if it runs clockwise
+        # seen from the outward side.
+        loop = pts[order]
+        if float(np.cross(loop, np.roll(loop, -1, axis=0)).sum(axis=0) @ outward) < 0.0:
+            order = order[::-1]
+        ring = [keys[i] for i in order]
     return ring if len(ring) >= 3 else None
 
 
 def _canonical_vertex_ids(points: np.ndarray) -> np.ndarray:
     """Map each stored vertex to a canonical id, merging geometric duplicates.
 
-    Face rings do not share vertex indices: the clipper emits per-face
-    copies of every corner, so one geometric vertex typically appears under
-    several indices.  Union-find over pairs within a relative tolerance
-    (``1e-9`` of the coordinate scale) collapses those copies so that edge
-    identity can be decided geometrically instead of by raw index.  The
-    quadratic pairing is fine here — backend bodies carry tens of vertices.
+    Distinct vertex indices can hold the same geometric point, for example
+    when an edge crossing lands within rounding of an existing vertex or a
+    caller builds a body whose rings use per-face copies of its corners.
+    Union-find over pairs within a relative tolerance (``1e-9`` of the
+    coordinate scale) collapses those copies so that edge identity can be
+    decided geometrically instead of by raw index.  The quadratic pairing
+    is fine here — backend bodies carry tens of vertices — and a body
+    without close pairs maps every vertex to itself.
     """
     m = points.shape[0]
     parent = np.arange(m)
+    if m == 0:
+        return parent
+    thresh = 1e-9 * max(1.0, float(np.abs(points).max()))
+    close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= thresh
+    pairs = np.nonzero(np.triu(close, k=1))
+    if pairs[0].size == 0:
+        return parent
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -370,13 +418,10 @@ def _canonical_vertex_ids(points: np.ndarray) -> np.ndarray:
             i = parent[i]
         return i
 
-    if m:
-        thresh = 1e-9 * max(1.0, float(np.abs(points).max()))
-        close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= thresh
-        for i, j in zip(*np.nonzero(np.triu(close, k=1))):
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    for i, j in zip(*pairs):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     return np.array([find(i) for i in range(m)], dtype=int)
 
 
@@ -389,43 +434,58 @@ def polyhedron_is_consistent(polyhedron: Polyhedron) -> bool:
     in a closed polyhedral surface every undirected edge belongs to exactly
     two faces, so any other count means a clip left the face complex broken
     and downstream closed-form answers (volume, Chebyshev facet tuples,
-    further clips) would be wrong.  Because face rings store per-face
-    *copies* of shared corners, edges are identified by canonical geometric
-    vertex (duplicates merged within a relative ``1e-9`` tolerance), and
-    zero-length edges between merged copies are ignored.  Sliver faces that
-    collapse to fewer than three distinct geometric vertices (zero area, so
-    no edge of theirs borders a second face) are skipped rather than
-    counted.  Degenerate bodies (points without faces) pass: they are valid
-    lower-dimensional placeholders.  The polytope layer runs this before trusting the backend
-    and demotes the region to the generic LP/qhull path on failure
+    further clips) would be wrong.  Edges are identified by canonical
+    geometric vertex (duplicate points merged within a relative ``1e-9``
+    tolerance, see :func:`_canonical_vertex_ids`), and zero-length edges
+    between merged copies are ignored.  Sliver faces that collapse to fewer
+    than three distinct geometric vertices (zero area, so no edge of theirs
+    borders a second face) are skipped rather than counted.  Degenerate
+    bodies (points without faces) pass: they are valid lower-dimensional
+    placeholders.
+
+    All rings are checked at once: ring positions are flattened into one
+    array, every check is a vectorised comparison, and the edge count is
+    one sort of the integer keys ``lo * n + hi`` of the canonical edge
+    endpoints (every key must occur exactly twice).  The polytope layer
+    runs this before trusting the backend and demotes the region to the
+    generic LP/qhull path on failure
     (:meth:`~repro.geometry.polytope.ConvexPolytope` backend degradation).
     """
     points = polyhedron.points
     if not bool(np.isfinite(points).all()):
         return False
-    if not polyhedron.faces:
+    faces = polyhedron.faces
+    if not faces:
         return True
     n = points.shape[0]
-    canonical = _canonical_vertex_ids(points)
-    edge_counts: dict = {}
-    for ring, _label in polyhedron.faces:
-        if ring.shape[0] < 3:
-            return False
-        if ring.min(initial=0) < 0 or ring.max(initial=-1) >= n:
-            return False
-        if np.unique(ring).shape[0] != ring.shape[0]:
-            return False
-        if np.unique(canonical[ring]).shape[0] < 3:
-            # Zero-area sliver: geometrically a point or segment, so none of
-            # its edges borders a second face — it cannot tear the surface.
-            continue
-        for a, b in zip(ring, np.roll(ring, -1)):
-            ca, cb = int(canonical[a]), int(canonical[b])
-            if ca == cb:
-                continue
-            key = _edge_key(ca, cb)
-            edge_counts[key] = edge_counts.get(key, 0) + 1
-    return all(count == 2 for count in edge_counts.values())
+    sizes = np.array([ring.shape[0] for ring, _label in faces])
+    if int(sizes.min()) < 3:
+        return False
+    flat = np.concatenate([ring for ring, _label in faces])
+    if int(flat.min()) < 0 or int(flat.max()) >= n:
+        return False
+    n_faces = sizes.shape[0]
+    face_of = np.repeat(np.arange(n_faces), sizes)
+    # Repeated index within one ring: a duplicate (face, vertex) key.
+    keys = np.sort(face_of * n + flat)
+    if bool((keys[1:] == keys[:-1]).any()):
+        return False
+    canonical = _canonical_vertex_ids(points)[flat]
+    # Zero-area slivers have fewer than three distinct canonical vertices.
+    distinct = np.unique(face_of * n + canonical) // n
+    sliver = np.bincount(distinct, minlength=n_faces) < 3
+    # Each ring position's successor, wrapping at the end of its ring.
+    ends = np.cumsum(sizes)
+    successor = np.arange(1, flat.shape[0] + 1)
+    successor[ends - 1] = ends - sizes
+    head, tail = canonical, canonical[successor]
+    counted = ~sliver[face_of] & (head != tail)
+    lo = np.minimum(head, tail)[counted]
+    hi = np.maximum(head, tail)[counted]
+    edges = np.sort(lo * n + hi)
+    if edges.shape[0] % 2:
+        return False
+    return bool((edges[0::2] == edges[1::2]).all() and (edges[1:-1:2] != edges[2::2]).all())
 
 
 def polyhedron_from_halfspaces(

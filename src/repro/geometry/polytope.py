@@ -69,6 +69,7 @@ from repro.geometry.polygon import (
     polygon_is_consistent,
 )
 from repro.geometry.polyhedron import (
+    DEFAULT_BOUND,
     Polyhedron,
     polyhedron_chebyshev,
     polyhedron_from_halfspaces,
@@ -241,6 +242,7 @@ class ConvexPolytope:
         )
         self._vertices = None if vertices is None else np.asarray(vertices, dtype=float)
         self._chebyshev: Optional[Tuple[Optional[np.ndarray], float]] = None
+        self._interior: Optional[bool] = None
         self._incidence: Optional[np.ndarray] = None
         self._backend_health: Optional[bool] = None
         self._read_only = False
@@ -407,12 +409,54 @@ class ConvexPolytope:
         center = self._cheb()[0]
         return None if center is None else center.copy()
 
+    def _interior_certified(self) -> bool:
+        """True when a certified bound puts the Chebyshev radius above ``tol.radius``.
+
+        The closed-form routines (:func:`polygon_chebyshev`,
+        :func:`polyhedron_chebyshev`) score the body's vertex mean as one of
+        their centre candidates: its smallest slack over the facet rows (the
+        body's non-negative edge or face labels), capped at the safety
+        bound.  Their exact radius is the best candidate's, so it is never
+        below that slack.  The slack is recomputed here with a different
+        matrix product, which may round differently by a few ulps of
+        ``|b_i| + ||c||_1`` (``c`` the mean, rows unit-norm), so it must
+        clear ``tol.radius`` by the margin ``1e-12 * (1 + max |b_i| +
+        ||c||_1)``, hundreds of times that rounding.  When it does not, the
+        callers run the exact routine; either way :meth:`is_empty`,
+        :meth:`is_full_dimensional` and :meth:`vertices` return the exact
+        routine's verdicts.  Regions on the LP/qhull path and 3-D bodies
+        without faces are never certified.
+        """
+        if self._interior is None:
+            self._interior = False
+            if self._polygon_backend_active():
+                polygon = self._ensure_polygon()
+                points = polygon.points
+                rows = np.unique(polygon.edge_labels[polygon.edge_labels >= 0])
+            elif self._polyhedron_backend_active() and self._ensure_polyhedron().n_faces:
+                points = self._ensure_polyhedron().points
+                rows = self._ensure_polyhedron().facet_labels()
+            else:
+                return False
+            if points.shape[0]:
+                center = points.mean(axis=0)
+                slack = np.min(self._b[rows] - self._A[rows] @ center, initial=DEFAULT_BOUND)
+                margin = 1e-12 * (
+                    1.0 + float(np.abs(self._b[rows]).max(initial=0.0)) + float(np.abs(center).sum())
+                )
+                self._interior = bool(slack - margin > self._tol.radius)
+        return self._interior
+
     def is_empty(self) -> bool:
         """Return True if the polytope has no point at all."""
+        if self._interior_certified():
+            return False
         return self._cheb()[0] is None
 
     def is_full_dimensional(self) -> bool:
         """Return True if the polytope has a non-empty interior."""
+        if self._interior_certified():
+            return True
         return self._cheb()[1] > self._tol.radius
 
     @property
@@ -425,32 +469,44 @@ class ConvexPolytope:
         and :func:`~repro.geometry.vertex_enum.canonicalize_polyhedron_vertices`).
         """
         if self._vertices is None:
-            center, radius = self._cheb()
-            if center is None:
-                self._vertices = np.empty((0, self.dimension))
-            elif radius <= self._tol.radius and self.dimension > 1:
-                raise DegeneratePolytopeError(
-                    "cannot enumerate vertices of a lower-dimensional polytope"
-                )
-            elif self._polygon_backend_active() and not self._ensure_polygon().touches_bound():
-                self._vertices = canonicalize_polygon_vertices(
-                    self._A, self._b, self._ensure_polygon().points, tol=self._tol
-                )
-            elif self._polyhedron_backend_active() and not self._ensure_polyhedron().touches_bound():
-                self._vertices = canonicalize_polyhedron_vertices(
-                    self._A, self._b, self._ensure_polyhedron().points, tol=self._tol
-                )
-            else:
-                # Generic path: qhull halfspace intersection (also the
-                # fallback for unbounded 2-D/3-D H-representations, where
-                # the clipped body still touches the safety box).
-                self._vertices = enumerate_vertices(
-                    self._A, self._b, interior_point=None if self.dimension == 1 else center,
-                    tol=self._tol,
-                )
+            self._vertices = self._enumerate_vertices()
             if self._read_only:
                 self._vertices.setflags(write=False)
         return self._vertices
+
+    def _enumerate_vertices(self) -> np.ndarray:
+        """Canonical vertices from the active backend (see :attr:`vertices`).
+
+        A body whose interior :meth:`_interior_certified` certifies goes
+        straight to the closed-form snap; any other body first gets the
+        exact Chebyshev verdict, which rules out empty and lower-dimensional
+        bodies.
+        """
+        if not self._interior_certified():
+            center, radius = self._cheb()
+            if center is None:
+                return np.empty((0, self.dimension))
+            if radius <= self._tol.radius and self.dimension > 1:
+                raise DegeneratePolytopeError(
+                    "cannot enumerate vertices of a lower-dimensional polytope"
+                )
+        if self._polygon_backend_active() and not self._ensure_polygon().touches_bound():
+            return canonicalize_polygon_vertices(
+                self._A, self._b, self._ensure_polygon().points, tol=self._tol
+            )
+        if self._polyhedron_backend_active() and not self._ensure_polyhedron().touches_bound():
+            return canonicalize_polyhedron_vertices(
+                self._A, self._b, self._ensure_polyhedron().points, tol=self._tol
+            )
+        # Generic path: qhull halfspace intersection (also the fallback for
+        # unbounded 2-D/3-D H-representations, where the clipped body still
+        # touches the safety box).
+        return enumerate_vertices(
+            self._A,
+            self._b,
+            interior_point=None if self.dimension == 1 else self._cheb()[0],
+            tol=self._tol,
+        )
 
     @property
     def n_vertices(self) -> int:

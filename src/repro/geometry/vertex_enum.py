@@ -36,6 +36,9 @@ from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 #: facets.  Pairs below this are nearly parallel and numerically unreliable.
 _DET_MIN = 1e-9
 
+#: Coordinate axes of a 3-D point, for indexing the Cramer systems.
+_AXES = np.arange(3)
+
 
 def deduplicate_points(points: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Remove (near-)duplicate rows from an ``(n, d)`` point array.
@@ -138,13 +141,37 @@ def _det3(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
     full row negates the result *bit-exactly* (IEEE negation and the
     symmetric rounding of ``a - b`` versus ``b - a`` are both exact) — the
     property :func:`canonicalize_polyhedron_vertices` relies on for split
-    complement halfspaces.
+    complement halfspaces.  Each row may also be an array whose first axis
+    is the entry (entry ``c`` of many rows in ``r[c]``): the same products
+    and differences then run elementwise, giving one determinant per
+    position with the same bits as one scalar call each.
     """
     return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
         + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
     )
+
+
+def _cramer_determinants(
+    A: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """The four Cramer determinants of each facet-row triple ``(i[t], j[t], k[t])``.
+
+    Row 0 of the ``(4, R)`` result is the :func:`_det3` of the three
+    normals; row ``1 + c`` is the determinant with column ``c`` of the
+    normal matrix replaced by ``b``, so coordinate ``c`` of the triple's
+    intersection point is ``dets[1 + c] / dets[0]``.  The four systems are
+    stacked on an extra axis and evaluated by one elementwise :func:`_det3`
+    call, whose bits equal those of one scalar call per system.
+    """
+    systems = []
+    for normal, rhs in ((A[i].T, b[i]), (A[j].T, b[j]), (A[k].T, b[k])):
+        # stack[c, s] is entry c of this facet's row in system s.
+        stack = np.repeat(normal[:, None, :], 4, axis=1)
+        stack[_AXES, _AXES + 1] = rhs
+        systems.append(stack)
+    return _det3(*systems)
 
 
 def canonicalize_polyhedron_vertices(
@@ -175,6 +202,13 @@ def canonicalize_polyhedron_vertices(
     bits, so vertices on a cut facet hash identically in both children —
     which is what keeps the :class:`~repro.core.scorecache.VertexScoreMemo`
     hit rate high across siblings at ``d = 4``.
+
+    Simple vertices — exactly three tight facets, not nearly singular, the
+    common case — are snapped in one batch with the same arithmetic applied
+    elementwise (:func:`_cramer_determinants`).  Only vertices with more
+    than three tight facets, or whose one triple is nearly singular, run
+    the per-row triple search; their chosen triples are then snapped in a
+    second batch.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if vertices.size == 0:
@@ -185,40 +219,38 @@ def canonicalize_polyhedron_vertices(
     scale = np.maximum(1.0, np.abs(b))[None, :]
     tight = slack <= tol.dedup * scale
     snapped = vertices.copy()
-    for row in range(vertices.shape[0]):
-        facets = np.flatnonzero(tight[row])
-        if facets.size < 3:
-            continue
+    n_tight = tight.sum(axis=1)
+    simple = np.flatnonzero(n_tight == 3)
+    search = n_tight > 3
+    if simple.size:
+        dets = _cramer_determinants(A, b, *np.nonzero(tight[simple])[1].reshape(-1, 3).T)
+        regular = np.abs(dets[0]) >= _DET_MIN
+        # Only regular triples are divided (a singular one may have det 0);
+        # `+ 0.0` maps -0.0 to +0.0 (see the 2-D version).
+        snapped[simple[regular]] = (dets[1:, regular] / dets[0, regular] + 0.0).T
+        search[simple[~regular]] = True
+    rows = []
+    triples = []
+    for row in np.flatnonzero(search):
         chosen = None
         fallback = None
         fallback_det = 0.0
-        for i, j, k in combinations(facets.tolist(), 3):
-            det = _det3(A[i], A[j], A[k])
+        for triple in combinations(np.flatnonzero(tight[row]).tolist(), 3):
+            det = _det3(A[triple[0]], A[triple[1]], A[triple[2]])
             if abs(det) >= _DET_MIN:
-                chosen = (i, j, k, det)
+                chosen = triple
                 break
             if abs(det) > abs(fallback_det):
-                fallback = (i, j, k, det)
+                fallback = triple
                 fallback_det = det
         if chosen is None:
             chosen = fallback
-        if chosen is None:
-            continue
-        i, j, k, det = chosen
-        # Cramer's rule, one column of the normal matrix replaced by b per
-        # coordinate; `+ 0.0` maps -0.0 to +0.0 (see the 2-D version).
-        bi = np.array([b[i], A[i, 1], A[i, 2]])
-        bj = np.array([b[j], A[j, 1], A[j, 2]])
-        bk = np.array([b[k], A[k, 1], A[k, 2]])
-        snapped[row, 0] = _det3(bi, bj, bk) / det + 0.0
-        bi = np.array([A[i, 0], b[i], A[i, 2]])
-        bj = np.array([A[j, 0], b[j], A[j, 2]])
-        bk = np.array([A[k, 0], b[k], A[k, 2]])
-        snapped[row, 1] = _det3(bi, bj, bk) / det + 0.0
-        bi = np.array([A[i, 0], A[i, 1], b[i]])
-        bj = np.array([A[j, 0], A[j, 1], b[j]])
-        bk = np.array([A[k, 0], A[k, 1], b[k]])
-        snapped[row, 2] = _det3(bi, bj, bk) / det + 0.0
+        if chosen is not None:
+            rows.append(row)
+            triples.append(chosen)
+    if rows:
+        dets = _cramer_determinants(A, b, *np.array(triples).T)
+        snapped[rows] = (dets[1:] / dets[0] + 0.0).T
     order = np.lexsort((snapped[:, 2], snapped[:, 1], snapped[:, 0]))[::-1]
     return deduplicate_points(snapped[order], tol=tol)
 

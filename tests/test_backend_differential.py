@@ -18,9 +18,11 @@ drives every region operation through both backends:
 
 A second layer runs whole TAS* solves on both backends and asserts
 identical solver-level ``V_all`` bytes with zero LP/qhull calls on the
-closed-form arm.  Each dimension runs >= 200 seeded cases (the acceptance
-bar of the PR that introduced the polyhedron backend); cases are chunked so
-pytest/xdist can spread them over workers.
+closed-form arm.  Both layers also assert zero backend fallbacks: no
+closed-form body may fail its consistency check and demote to LP/qhull.
+Each dimension runs >= 200 seeded cases (the acceptance bar of the PR that
+introduced the polyhedron backend); cases are chunked so pytest/xdist can
+spread them over workers.
 """
 
 import numpy as np
@@ -89,6 +91,7 @@ def _run_split_tree_case(rng, dim, counts):
     assert region.polytope.backend == DIMENSIONS[dim]
     assert reference.polytope.backend == "qhull"
     options = _random_options(rng, dim, n_options=int(rng.integers(8, 40)))
+    before = geometry_counters.snapshot()
 
     frontier = [(region, reference)]
     for _step in range(int(rng.integers(3, 8))):
@@ -121,6 +124,7 @@ def _run_split_tree_case(rng, dim, counts):
         for child, ref_child in ((below, ref_below), (above, ref_above)):
             if _compare_pair(child.polytope, ref_child.polytope, counts):
                 frontier.append((child, ref_child))
+    assert geometry_counters.delta(before).n_backend_fallbacks == 0
 
 
 @pytest.mark.parametrize("dim", sorted(DIMENSIONS))
@@ -155,5 +159,6 @@ def test_solver_level_differential(dim, seed):
     assert vall.tobytes() == ref_vall.tobytes()
     assert stats.n_lp_calls == 0
     assert stats.n_qhull_calls == 0
+    assert stats.n_backend_fallbacks == ref_stats.n_backend_fallbacks == 0
     assert stats.n_regions_tested == ref_stats.n_regions_tested
     assert stats.n_splits == ref_stats.n_splits

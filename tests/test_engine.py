@@ -10,6 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.engine.engine as engine_module
 from repro.cli import main as cli_main
 from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
@@ -370,6 +371,38 @@ class TestEngineBatch:
         for executor in ("gpu", "thread"):
             with pytest.raises(InvalidParameterError):
                 engine.query_batch([(5, regions[0]), (3, regions[1])], executor=executor)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_batch_validates_every_query_first(self, catalogue, regions, monkeypatch, executor):
+        # One bad k anywhere in the batch refuses the whole batch before the
+        # good queries are solved (or cached) and before a pool starts.
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("query_batch started a process pool")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        engine = TopRREngine(catalogue)
+        before = engine.cache_info()["results"]
+        with pytest.raises(InvalidParameterError):
+            engine.query_batch([(3, regions[0]), (2.5, regions[0])], executor=executor)
+        assert engine.cache_info()["results"] == before
+        assert engine.n_queries == 0
+
+    def test_one_fingerprint_per_query(self, catalogue, regions, monkeypatch):
+        # A miss keys the result LRU and the r-skyband LRU with one fingerprint.
+        calls = []
+
+        def counted(region):
+            calls.append(region)
+            return region_fingerprint(region)
+
+        monkeypatch.setattr(engine_module, "region_fingerprint", counted)
+        engine = TopRREngine(catalogue)
+        engine.query(4, regions[0])
+        assert len(calls) == 1
+        engine.query(4, regions[0])  # a result hit
+        assert len(calls) == 2
+        engine.query(4, regions[0], use_cache=False)  # a skyband hit
+        assert len(calls) == 3
 
     def test_warm_precomputes_skyband(self, catalogue, regions):
         engine = TopRREngine(catalogue)

@@ -11,6 +11,9 @@ Three layers, mirroring ``tests/test_geometry_polygon.py`` one dimension up:
 * **unit tests** of the :class:`~repro.geometry.polyhedron.Polyhedron`
   primitives (clipping, cutting with a shared cut facet, volume, face
   structure, counters).
+
+Every test also asserts that no body it builds demotes to the LP/qhull path
+(zero ``n_backend_fallbacks``).
 """
 
 import numpy as np
@@ -30,6 +33,14 @@ from repro.geometry.polytope import ConvexPolytope
 
 UNIT_CUBE_A = np.vstack([np.eye(3), -np.eye(3)])
 UNIT_CUBE_B = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.fixture(autouse=True)
+def _no_backend_fallbacks():
+    """No closed-form body built by a test here may fail validation and demote."""
+    geometry_counters.reset()
+    yield
+    assert geometry_counters.n_backend_fallbacks == 0
 
 
 def _pair(A, b, **kwargs):

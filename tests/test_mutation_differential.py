@@ -8,7 +8,9 @@ so this harness fuzzes the contract end to end: seeded random
 insert/delete/query schedules where, after every mutation, every query
 answered by the long-lived engine is byte-compared — ``V_all``, lifted
 weights, thresholds, output polytope, r-skyband ids and values — against a
-from-scratch engine built directly on the mutated dataset.
+from-scratch engine built directly on the mutated dataset.  No schedule may
+demote a closed-form geometry body to LP/qhull: the geometry counters must
+report zero backend fallbacks, answers and oracles included.
 
 200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``).
 The sharded schedules also check the r-skyband's decomposition over option
@@ -30,6 +32,7 @@ import pytest
 from repro.core.sharded import sharded_r_skyband
 from repro.data.generators import generate_anticorrelated, generate_independent
 from repro.engine import TopRREngine
+from repro.geometry.counters import geometry_counters
 from repro.preference.random_regions import random_hypercube_region
 from repro.pruning.rskyband import r_skyband
 
@@ -84,6 +87,7 @@ def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_eve
     ``shards=(n_shards, strategy)`` every queried ``(k, region)`` of a
     mutated dataset is also put through :func:`assert_sharded_band`.
     """
+    before = geometry_counters.snapshot()
     rng = np.random.default_rng(seed)
     generate = generate_independent if d == 3 else generate_anticorrelated
     dataset = generate(n0, d, rng=int(rng.integers(0, 2**31)))
@@ -114,6 +118,7 @@ def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_eve
             assert result.dataset is current
             if shards is not None:
                 assert_sharded_band(current, k, region, *shards, context=context)
+    assert geometry_counters.delta(before).n_backend_fallbacks == 0, f"seed={seed} d={d}"
     return engine
 
 

@@ -6,7 +6,8 @@ preference space) — the paper's second headline setting.  Mirroring
 ``tests/test_polygon_backend.py``, the guarantee is end-to-end: every solver
 run on the polyhedron backend must produce **bit-identical** ``V_all`` —
 and identical split/region/vertex counters — to the LP/qhull path, while
-reporting **zero** LP and qhull calls in :class:`~repro.core.stats.SolverStats`.
+reporting **zero** LP and qhull calls in :class:`~repro.core.stats.SolverStats`,
+and without a single backend fallback (a body demoted to LP/qhull).
 """
 
 import numpy as np
@@ -43,6 +44,7 @@ def _solve(solver_cls, dataset, k, region, **kwargs):
     solver = solver_cls(rng=5, **kwargs)
     stats = SolverStats()
     vall = solver.partition(dataset, k, region, stats=stats)
+    assert stats.n_backend_fallbacks == 0
     return vall, stats
 
 
