@@ -17,9 +17,18 @@ and complete answers are kept in bounded LRU caches keyed by
 engine (serially or via worker processes), and ``warm``
 precomputes the filter for an anticipated query mix.
 
-**Cache-key semantics.**  A region is keyed by its *fingerprint*
+**Cache-key semantics.**  Keys are resolved in two steps: representation
+bytes map to a fingerprint, and the fingerprint maps to an entry.  A region
+is keyed by its *fingerprint*
 (:func:`~repro.engine.fingerprint.region_fingerprint`): the exact defining
-vertices, lexicographically sorted.  Two region objects describing the same
+vertices, lexicographically sorted.  Computing it enumerates the region's
+vertices, so :meth:`TopRREngine.fingerprint` memoises it in a bounded LRU
+keyed by :func:`~repro.engine.fingerprint.region_key` — the region's
+normalised ``(A, b)`` bytes and shape, its dimension, tolerance bundle and
+backend specification, everything the vertex enumeration reads.  A repeated
+query on a freshly built region with the same halfspace bytes (every HTTP
+request parses a new one) therefore finds its fingerprint, and then its
+cached answer, without any geometry.  Two region objects describing the same
 polytope therefore share cache entries even when their halfspace
 representations differ (redundant constraints, row order) or when they were
 built on different geometry backends (2-D and 3-D vertices are canonical
@@ -28,8 +37,10 @@ vertices differ in any bit never do — a representation whose arithmetic
 moves a vertex by one ulp (rows rescaled by 3, say) costs a cache miss,
 never a wrong hit.  The r-skyband cache is keyed by ``(k, fingerprint)`` and
 shared across solver methods; the result cache adds the method name:
-``(k, fingerprint, method)``.
-Both are bounded LRUs (:class:`~repro.engine.cache.LRUCache`): inserting
+``(k, fingerprint, method)``.  The fingerprint memo holds as many entries as
+the larger of the two; fingerprints do not depend on the dataset, so
+:meth:`TopRREngine.apply_delta` leaves it alone.
+All three are bounded LRUs (:class:`~repro.engine.cache.LRUCache`): inserting
 beyond ``skyband_cache_size`` / ``result_cache_size`` evicts the least
 recently *used* entry (hits refresh recency), so a long-lived session holds
 at most that many intermediates regardless of how many distinct queries it
@@ -64,7 +75,7 @@ from repro.core.stats import SolverStats
 from repro.core.toprr import SolverLike, TopRRResult, make_solver
 from repro.data.dataset import Dataset
 from repro.engine.cache import MISSING, LRUCache
-from repro.engine.fingerprint import region_fingerprint
+from repro.engine.fingerprint import region_fingerprint, region_key
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
@@ -115,6 +126,10 @@ class TopRREngine:
         reuse.  Only string methods are cacheable; passing a solver
         *instance* bypasses this cache.
 
+    The region-fingerprint memo (:meth:`fingerprint`) is bounded by
+    ``max(skyband_cache_size, result_cache_size)``, so it is off when both
+    caches are.
+
     Examples
     --------
     >>> from repro.data.generators import generate_independent
@@ -143,6 +158,7 @@ class TopRREngine:
         self._affine: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._skyband_cache = LRUCache(skyband_cache_size)
         self._result_cache = LRUCache(result_cache_size)
+        self._fingerprint_memo = LRUCache(max(skyband_cache_size, result_cache_size))
         self._counter_lock = threading.Lock()
         self.n_queries = 0
         # Mutation-maintenance state: memos of entries evicted by a delta,
@@ -184,8 +200,28 @@ class TopRREngine:
                 f"has {self.dataset.n_attributes} attributes"
             )
 
+    def fingerprint(self, region: PreferenceRegion) -> Tuple:
+        """``region_fingerprint(region)``, memoised on the region's representation.
+
+        The memo is keyed by :func:`~repro.engine.fingerprint.region_key`
+        (normalised ``(A, b)`` bytes and shape, dimension, tolerance bundle,
+        backend specification), from which the fingerprint is a function, so
+        the value returned is always exactly ``region_fingerprint(region)``.
+        A miss calls this module's :func:`region_fingerprint` (the name the
+        stage tracer patches); a region that raises stores nothing, and one
+        without a representation key (a split child) is never memoised.
+        """
+        key = region_key(region) if self._fingerprint_memo.maxsize > 0 else None
+        if key is None:
+            return region_fingerprint(region)
+        fingerprint = self._fingerprint_memo.get(key)
+        if fingerprint is MISSING:
+            fingerprint = region_fingerprint(region)
+            self._fingerprint_memo.put(key, fingerprint)
+        return fingerprint
+
     def prefiltered(
-        self, k: int, region: PreferenceRegion, fingerprint: Optional[Tuple] = None
+        self, k: int, region: PreferenceRegion
     ) -> Tuple[Dataset, WorkingSet, VertexScoreMemo, bool]:
         """``(D', root working set, score memo, cache_hit)`` for one ``(k, region)`` pair.
 
@@ -196,8 +232,7 @@ class TopRREngine:
         repeated queries against the same ``(k, region)`` reuse each other's
         split-tree vertex scores even when the full result was not cached.
         The filter is this module's :func:`r_skyband` (the name the stage
-        tracer patches).  ``fingerprint`` is ``region_fingerprint(region)``
-        when the caller already has it; it is computed here otherwise.
+        tracer patches); the cache key comes from :meth:`fingerprint`.
         """
         coefficients, constants = self.affine_form()
         if self._skyband_cache.maxsize <= 0:
@@ -210,8 +245,7 @@ class TopRREngine:
             working = WorkingSet.from_affine_form(coefficients[kept], constants[kept], k)
             return filtered, working, VertexScoreMemo.for_working(working), False
 
-        if fingerprint is None:
-            fingerprint = region_fingerprint(region)
+        fingerprint = self.fingerprint(region)
         cached = self._skyband_cache.get((int(k), fingerprint))
         if cached is not MISSING:
             return cached[0], cached[1], cached[2], True
@@ -223,12 +257,13 @@ class TopRREngine:
     def cached_result(self, k: int, region: PreferenceRegion, method) -> Optional[TopRRResult]:
         """The cached :class:`TopRRResult` for ``(k, region, method)``, or ``None``.
 
-        Pure lookup — never solves.  Only string methods are cacheable, as
-        in :meth:`query`.
+        Pure lookup — never solves, and on a fingerprint-memo hit builds no
+        geometry either.  Only string methods are cacheable, as in
+        :meth:`query`.
         """
         if not isinstance(method, str) or self._result_cache.maxsize <= 0:
             return None
-        cached = self._result_cache.get((int(k), region_fingerprint(region), method.lower()))
+        cached = self._result_cache.get((int(k), self.fingerprint(region), method.lower()))
         return None if cached is MISSING else cached
 
     def _install_skyband(self, k: int, region: PreferenceRegion, fingerprint: Tuple, kept) -> tuple:
@@ -296,12 +331,9 @@ class TopRREngine:
             self.n_queries += 1
         method = self.method if method is None else method
 
-        # One fingerprint per query, shared by the result and r-skyband keys.
-        fingerprint: Optional[Tuple] = None
         result_key: Optional[tuple] = None
         if use_cache and isinstance(method, str) and self._result_cache.maxsize > 0:
-            fingerprint = region_fingerprint(region)
-            result_key = (int(k), fingerprint, method.lower())
+            result_key = (int(k), self.fingerprint(region), method.lower())
             cached = self._result_cache.get(result_key)
             if cached is not MISSING:
                 return cached
@@ -311,7 +343,7 @@ class TopRREngine:
         stats.n_input_options = self.dataset.n_options
 
         timer = Timer().start()
-        filtered, working, memo, skyband_hit = self.prefiltered(k, region, fingerprint)
+        filtered, working, memo, skyband_hit = self.prefiltered(k, region)
         stats.n_filtered_options = filtered.n_options
 
         vall = solver.partition(filtered, k, region, stats=stats, working=working, score_memo=memo)
@@ -542,7 +574,10 @@ class TopRREngine:
     # introspection
     # ------------------------------------------------------------------ #
     def cache_info(self) -> dict:
-        """Hit/miss/eviction counters of both caches plus the query count.
+        """Hit/miss/eviction counters of the caches plus the query count.
+
+        ``skyband`` and ``results`` are the two answer caches,
+        ``fingerprints`` the region-fingerprint memo of :meth:`fingerprint`.
 
         ``mutations`` holds the engine-lifetime totals across every
         :meth:`apply_delta` call (``n_deltas``, survivor/eviction counts,
@@ -554,6 +589,7 @@ class TopRREngine:
             "n_queries": self.n_queries,
             "skyband": self._skyband_cache.info().as_dict(),
             "results": self._result_cache.info().as_dict(),
+            "fingerprints": self._fingerprint_memo.info().as_dict(),
             "mutations": mutations,
         }
 
@@ -561,10 +597,11 @@ class TopRREngine:
         """Drop every cached intermediate (the bound affine form is kept).
 
         This includes the vertex-score memos attached to the r-skyband
-        entries.
+        entries and the region-fingerprint memo.
         """
         self._skyband_cache.clear()
         self._result_cache.clear()
+        self._fingerprint_memo.clear()
         self._mutation_salvage.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -12,11 +12,18 @@ and :func:`repro.geometry.vertex_enum.canonicalize_polyhedron_vertices`),
 fingerprints are also backend-independent: a region built under
 ``use_backend("qhull")`` hits cache entries populated by the polygon or
 polyhedron backend and vice versa.
+
+Computing a fingerprint enumerates the region's vertices.  :func:`region_key`
+names what that enumeration reads — the region's dimension and its
+polytope's :meth:`~repro.geometry.polytope.ConvexPolytope.representation_key`
+— so a memo keyed on it (:meth:`repro.engine.engine.TopRREngine.fingerprint`)
+returns exactly ``region_fingerprint(region)`` without recomputing it for a
+freshly built region with the same halfspace bytes.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,3 +36,17 @@ def region_fingerprint(region: PreferenceRegion) -> Tuple:
     vertices = np.asarray(region.vertices, dtype=float) + 0.0
     order = np.lexsort(vertices.T[::-1]) if vertices.size else np.arange(0)
     return tuple(map(tuple, vertices[order]))
+
+
+def region_key(region: PreferenceRegion) -> Optional[Tuple]:
+    """A hashable key from which ``region_fingerprint(region)`` is a function, or ``None``.
+
+    The key is ``(n_attributes, polytope representation key)``: the
+    normalised ``(A, b)`` bytes and shape, the tolerance bundle and the
+    backend specification.  Equal keys enumerate bit-identical vertices, so
+    they have equal fingerprints; unequal keys (rows permuted or rescaled,
+    say) may still share a fingerprint.  ``None`` when the region's polytope
+    carries inherited vertex state (a split child), which the key cannot see.
+    """
+    representation = region.polytope.representation_key()
+    return None if representation is None else (region.n_attributes, representation)

@@ -241,6 +241,10 @@ class ConvexPolytope:
             polyhedron if (self._use_polyhedron and np.all(keep)) else None
         )
         self._vertices = None if vertices is None else np.asarray(vertices, dtype=float)
+        # Only a body built from (A, b) alone has vertices that are a function
+        # of its representation key (see representation_key).
+        self._self_contained = vertices is None and polygon is None and polyhedron is None
+        self._volume: Optional[float] = None
         self._chebyshev: Optional[Tuple[Optional[np.ndarray], float]] = None
         self._interior: Optional[bool] = None
         self._incidence: Optional[np.ndarray] = None
@@ -304,6 +308,26 @@ class ConvexPolytope:
         """H-representation ``(A, b)`` with ``A x <= b`` (copies)."""
         return self._A.copy(), self._b.copy()
 
+    def representation_key(self) -> Optional[tuple]:
+        """A hashable key of everything the vertex enumeration reads, or ``None``.
+
+        The key is the normalised ``(A, b)`` bytes and shape, the tolerance
+        bundle and the backend specification: two polytopes with equal keys
+        enumerate bit-identical :attr:`vertices`.  ``None`` for a body that
+        was handed pre-computed vertices or a pre-clipped polygon/polyhedron
+        (split children, intersections), whose vertices also depend on that
+        inherited state.
+        """
+        if not self._self_contained:
+            return None
+        return (
+            self._A.shape,
+            self._A.tobytes(),
+            self._b.tobytes(),
+            self._tol,
+            self._backend_spec,
+        )
+
     def make_read_only(self) -> None:
         """Freeze ``(A, b)`` and the vertices, including ones enumerated later.
 
@@ -359,6 +383,7 @@ class ConvexPolytope:
         self._polygon = None
         self._polyhedron = None
         self._chebyshev = None
+        self._volume = None
         geometry_counters.n_backend_fallbacks += 1
         _warn_backend_fallback_once(kind)
 
@@ -540,8 +565,15 @@ class ConvexPolytope:
 
         The polygon backend answers with the shoelace area of its ordered
         vertex list, the polyhedron backend with a closed-form fan of
-        face-pyramids; the generic path builds a qhull convex hull.
+        face-pyramids; the generic path builds a qhull convex hull.  The
+        value is computed once and memoised, like :attr:`vertices`.
         """
+        if self._volume is None:
+            self._volume = self._compute_volume()
+        return self._volume
+
+    def _compute_volume(self) -> float:
+        """The uncached :meth:`volume` from the active backend."""
         if self._polyhedron_backend_active() and not self._ensure_polyhedron().touches_bound():
             return self._ensure_polyhedron().volume()
         if self._polygon_backend_active() and not self._ensure_polygon().touches_bound():

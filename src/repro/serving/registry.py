@@ -14,7 +14,8 @@ themselves don't need in library use:
   method)`` solves share one underlying engine call: the first request
   computes, followers await a shielded reference to the same future and are
   counted in the metrics as coalesced;
-* bounded **latency/requests accounting** surfaced by ``/metrics``.
+* bounded **latency/requests accounting** surfaced by ``/metrics``, overall
+  and per route split by cache outcome (:data:`LATENCY_WINDOWS`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from contextlib import asynccontextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
+
+#: The per-route latency windows of ``/metrics``: a ``/solve`` is counted by
+#: its cache outcome, ``/batch`` and ``/mutate`` by route.
+LATENCY_WINDOWS = ("solve.hit", "solve.miss", "solve.coalesced", "batch", "mutate")
 
 
 class AsyncReadWriteLock:
@@ -92,6 +97,9 @@ class ServedDataset:
         self.n_requests: Dict[str, int] = {"solve": 0, "batch": 0, "mutate": 0}
         self.n_cache_hits = 0
         self._latencies: deque = deque(maxlen=self.LATENCY_WINDOW)
+        self._route_latencies: Dict[str, deque] = {
+            window: deque(maxlen=self.LATENCY_WINDOW) for window in LATENCY_WINDOWS
+        }
         self._metrics_lock = threading.Lock()
 
     # -------------------------------------------------------------- #
@@ -122,28 +130,57 @@ class ServedDataset:
     # -------------------------------------------------------------- #
     # metrics
     # -------------------------------------------------------------- #
-    def record(self, route: str, seconds: Optional[float] = None, cache_hit: bool = False) -> None:
-        """Fold one served request into the counters."""
+    def record(
+        self,
+        route: str,
+        seconds: Optional[float] = None,
+        cache_hit: bool = False,
+        coalesced: bool = False,
+    ) -> None:
+        """Fold one served request into the counters.
+
+        Its latency joins the overall window and the route's window; a
+        ``"solve"`` goes to ``solve.hit``, ``solve.coalesced`` or
+        ``solve.miss`` by its cache outcome.
+        """
+        window = route
+        if route == "solve":
+            window = "solve.hit" if cache_hit else "solve.coalesced" if coalesced else "solve.miss"
         with self._metrics_lock:
             self.n_requests[route] = self.n_requests.get(route, 0) + 1
             if cache_hit:
                 self.n_cache_hits += 1
             if seconds is not None:
                 self._latencies.append(seconds)
+                if window in self._route_latencies:
+                    self._route_latencies[window].append(seconds)
 
     def metrics(self) -> dict:
         """The ``/metrics`` payload for this dataset (never raises on fresh state)."""
         with self._metrics_lock:
             latencies = sorted(self._latencies)
+            by_route = {
+                window: sorted(values) for window, values in self._route_latencies.items()
+            }
             requests = dict(self.n_requests)
             n_cache_hits = self.n_cache_hits
             n_coalesced = self.n_coalesced
 
-        def percentile(fraction: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(fraction * len(latencies)))
-            return latencies[index]
+        def summary(window: list) -> dict:
+            """Count and p50/p99 (ms) of one sorted latency window; zeros when empty."""
+
+            def percentile(fraction: float) -> float:
+                """The ``fraction`` quantile (nearest rank below) of ``window``, in seconds."""
+                if not window:
+                    return 0.0
+                index = min(len(window) - 1, int(fraction * len(window)))
+                return window[index]
+
+            return {
+                "count": len(window),
+                "p50_ms": percentile(0.50) * 1000.0,
+                "p99_ms": percentile(0.99) * 1000.0,
+            }
 
         return {
             "dataset": {
@@ -155,11 +192,8 @@ class ServedDataset:
             "requests": requests,
             "n_coalesced": n_coalesced,
             "n_result_cache_hits": n_cache_hits,
-            "latency": {
-                "count": len(latencies),
-                "p50_ms": percentile(0.50) * 1000.0,
-                "p99_ms": percentile(0.99) * 1000.0,
-            },
+            "latency": summary(latencies),
+            "latency_by_route": {window: summary(values) for window, values in by_route.items()},
             "cache": self.engine.cache_info(),
         }
 

@@ -11,9 +11,11 @@ correct.  Life of a served query:
    (:mod:`repro.serving.registry`);
 3. the solve runs under the dataset's read lock — concurrent solves
    interleave freely, a ``/mutate`` holds the write side alone;
-4. identical concurrent ``(k, region fingerprint, method)`` solves coalesce
-   onto one engine call; everyone else's CPU-bound solve is pushed to a
-   worker thread so the event loop keeps accepting requests;
+4. the request's key ``(k, region fingerprint, method)`` comes from the
+   engine's fingerprint memo, so a repeated region is a lookup; a result-
+   cache hit answers at once, without geometry; identical concurrent
+   misses coalesce onto one engine call; everyone else's CPU-bound solve
+   is pushed to a worker thread so the event loop keeps accepting requests;
 5. the response separates the deterministic ``"result"`` payload (byte-
    comparable across replicas) from the volatile ``"served"`` half
    (latency, cache hit, coalescing).
@@ -33,7 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Optional, Tuple
 
-from repro.engine.fingerprint import region_fingerprint
+# Not called here (the engine's memo computes fingerprints), but kept in this
+# module's namespace: the stage tracer patches it next to the engine's name.
+from repro.engine.fingerprint import region_fingerprint  # noqa: F401
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.serving.registry import EngineRegistry, ServedDataset
 from repro.serving.schemas import (
@@ -234,10 +238,12 @@ class ToprrServer:
         entry = self.registry.get(request.dataset)
         async with entry.lock.read():
             response = await self._solve_one(entry, request)
+        served = response["served"]
         entry.record(
             "solve",
-            seconds=response["served"]["seconds"],
-            cache_hit=response["served"]["cache_hit"],
+            seconds=served["seconds"],
+            cache_hit=served["cache_hit"],
+            coalesced=served["coalesced"],
         )
         return response
 
@@ -261,8 +267,10 @@ class ToprrServer:
     async def _solve_one(self, entry: ServedDataset, request: SolveRequest) -> dict:
         """The shared solve path of ``/solve`` and ``/batch`` (read lock held).
 
-        Peeks the engine's result cache first (a hit answers without
-        touching the executor), then coalesces with identical in-flight
+        One fingerprint per request, from the engine's memo (a repeated
+        region costs a lookup, no geometry), keys both the result-cache peek
+        and the coalescing table.  A cache hit answers without touching the
+        executor; otherwise the request coalesces with identical in-flight
         solves, then pays the solve on a worker thread.
         """
         engine = entry.engine
@@ -270,9 +278,12 @@ class ToprrServer:
         method = request.method if request.method is not None else engine.method
         started = time.perf_counter()
 
+        key = None
+        if request.use_cache and isinstance(method, str):
+            key = (request.k, engine.fingerprint(region), method.lower())
         cache_hit = False
         coalesced = False
-        result = engine.cached_result(request.k, region, method) if request.use_cache else None
+        result = engine.cached_result(request.k, region, method) if key is not None else None
         if result is not None:
             cache_hit = True
         else:
@@ -287,8 +298,7 @@ class ToprrServer:
                     use_cache=request.use_cache,
                 ),
             )
-            if request.use_cache and isinstance(method, str):
-                key = (request.k, region_fingerprint(region), method.lower())
+            if key is not None:
                 result, coalesced = await entry.coalesced_solve(key, thunk)
             else:
                 # Deliberately uncached solves never coalesce: the caller
@@ -375,6 +385,7 @@ class ServerThread:
         return self
 
     def _run(self) -> None:
+        """Thread body: bind the server, signal readiness, run the loop until stopped."""
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
         try:

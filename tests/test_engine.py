@@ -16,9 +16,11 @@ from repro.core.toprr import solve_toprr
 from repro.data.generators import generate_independent
 from repro.engine import LRUCache, TopRREngine, region_fingerprint
 from repro.engine.cache import MISSING
-from repro.exceptions import InvalidParameterError
-from repro.geometry.polytope import ConvexPolytope
+from repro.exceptions import DegeneratePolytopeError, InvalidParameterError
+from repro.geometry.polyhedron import Polyhedron
+from repro.geometry.polytope import ConvexPolytope, use_backend
 from repro.preference.region import PreferenceRegion
+from repro.utils.tolerance import Tolerance
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,148 @@ class TestRegionFingerprint:
         assert answer.vertices_reduced.tobytes() == fresh.vertices_reduced.tobytes()
         assert answer.thresholds.tobytes() == fresh.thresholds.tobytes()
         assert engine.cache_info()["results"]["hits"] == 0
+
+
+def counted_fingerprints(monkeypatch) -> list:
+    """Count the engine's real fingerprint computations (the regions, in order)."""
+    calls = []
+
+    def counted(region):
+        calls.append(region)
+        return region_fingerprint(region)
+
+    monkeypatch.setattr(engine_module, "region_fingerprint", counted)
+    return calls
+
+
+def assert_same_answer(answer, expected) -> None:
+    """Byte equality of the deterministic parts of two TopRR answers."""
+    assert answer.vertices_reduced.tobytes() == expected.vertices_reduced.tobytes()
+    assert answer.thresholds.tobytes() == expected.thresholds.tobytes()
+    assert answer.full_weights.tobytes() == expected.full_weights.tobytes()
+
+
+class TestFingerprintMemo:
+    """The engine's fingerprint memo returns exactly ``region_fingerprint``."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return generate_independent(300, 3, rng=1)
+
+    BOX = [(0.3, 0.35), (0.3, 0.35)]
+
+    def test_permuted_and_rescaled_rows_are_separate_entries(self, small, monkeypatch):
+        calls = counted_fingerprints(monkeypatch)
+        engine = TopRREngine(small)
+        box = PreferenceRegion.hyperrectangle(self.BOX)
+        A, b = box.polytope.halfspaces
+        order = np.random.default_rng(3).permutation(A.shape[0])
+        permuted = PreferenceRegion(ConvexPolytope(A[order], b[order]), n_attributes=3)
+        rescaled = PreferenceRegion(ConvexPolytope(A * 3.0, b * 3.0), n_attributes=3)
+        first = engine.query(5, box)
+        # Same vertices, different bytes: a memo miss that still hits the result.
+        assert engine.query(5, permuted) is first
+        assert engine.fingerprint(permuted) == region_fingerprint(permuted)
+        answer = engine.query(5, rescaled)
+        assert engine.fingerprint(rescaled) == region_fingerprint(rescaled)
+        assert_same_answer(answer, solve_toprr(small, 5, rescaled))
+        assert len(calls) == 3
+        assert engine.cache_info()["fingerprints"]["currsize"] == 3
+
+    def test_box_shifted_by_3e11_is_a_separate_entry_and_answer(self, small):
+        engine = TopRREngine(small)
+        box = PreferenceRegion.hyperrectangle(self.BOX)
+        shifted = PreferenceRegion.hyperrectangle([(0.3 + 3e-11, 0.35 + 3e-11), (0.3, 0.35)])
+        engine.query(5, box)
+        answer = engine.query(5, shifted)
+        assert engine.fingerprint(shifted) == region_fingerprint(shifted)
+        assert engine.fingerprint(shifted) != engine.fingerprint(box)
+        assert_same_answer(answer, solve_toprr(small, 5, shifted))
+        info = engine.cache_info()
+        assert info["fingerprints"]["currsize"] == 2
+        assert info["results"]["hits"] == 0
+
+    def test_tolerance_and_backend_are_part_of_the_key(self, small, monkeypatch):
+        calls = counted_fingerprints(monkeypatch)
+        engine = TopRREngine(small)
+        box = PreferenceRegion.hyperrectangle(self.BOX)
+        loose = PreferenceRegion.hyperrectangle(self.BOX, tol=Tolerance(geometry=1e-8))
+        with use_backend("qhull"):
+            qhull = PreferenceRegion.hyperrectangle(self.BOX)
+        first = engine.query(5, box)
+        for variant in (loose, qhull):
+            assert engine.fingerprint(variant) == region_fingerprint(variant)
+            assert_same_answer(engine.query(5, variant), solve_toprr(small, 5, variant))
+        # Canonical vertices: the qhull-built region still shares the answer.
+        assert engine.query(5, qhull) is first
+        assert len(calls) == 3
+        assert engine.cache_info()["fingerprints"]["currsize"] == 3
+
+    def test_degenerate_region_raises_every_time_and_stores_nothing(self, small):
+        engine = TopRREngine(small)
+        for _ in range(2):
+            flat = PreferenceRegion.hyperrectangle([(0.3, 0.3), (0.3, 0.35)])
+            with pytest.raises(DegeneratePolytopeError):
+                engine.fingerprint(flat)
+            with pytest.raises(DegeneratePolytopeError):
+                engine.query(5, flat)
+        assert engine.cache_info()["fingerprints"]["currsize"] == 0
+
+    def test_hit_after_apply_delta_matches_a_fresh_engine(self, small, monkeypatch):
+        calls = counted_fingerprints(monkeypatch)
+        engine = TopRREngine(small)
+        engine.query(5, PreferenceRegion.hyperrectangle(self.BOX))
+        mutated, delta = small.insert_options(np.random.default_rng(9).uniform(size=(30, 3)))
+        engine.apply_delta(mutated, delta)
+        mutated, delta = mutated.delete_options(positions=[0, 1, 2])
+        engine.apply_delta(mutated, delta)
+        again = PreferenceRegion.hyperrectangle(self.BOX)
+        assert_same_answer(engine.query(5, again), TopRREngine(mutated).query(5, again))
+        assert len(calls) == 2  # the fresh engine's own miss; this engine's memo hit
+
+    def test_memo_is_bounded_and_evicts(self, small):
+        engine = TopRREngine(small, skyband_cache_size=2, result_cache_size=3)
+        boxes = [
+            PreferenceRegion.hyperrectangle([(0.1 + 0.05 * i, 0.14 + 0.05 * i), (0.3, 0.34)])
+            for i in range(6)
+        ]
+        for box in boxes:
+            assert engine.fingerprint(box) == region_fingerprint(box)
+        info = engine.cache_info()["fingerprints"]
+        assert (info["currsize"], info["maxsize"], info["evictions"]) == (3, 3, 3)
+        assert engine.fingerprint(boxes[0]) == region_fingerprint(boxes[0])
+        assert engine.cache_info()["fingerprints"]["currsize"] == 3
+
+    def test_memo_is_off_with_both_caches(self, small, monkeypatch):
+        calls = counted_fingerprints(monkeypatch)
+        engine = TopRREngine(small, skyband_cache_size=0, result_cache_size=0)
+        box = PreferenceRegion.hyperrectangle(self.BOX)
+        assert engine.fingerprint(box) == engine.fingerprint(box)
+        assert len(calls) == 2
+        assert engine.cache_info()["fingerprints"]["disabled"] is True
+
+    def test_split_children_are_not_memoised(self, small):
+        engine = TopRREngine(small)
+        box = PreferenceRegion.hyperrectangle(self.BOX)
+        below, _above = box.split(box.scoring_hyperplane(small.values[0], small.values[1]))
+        assert engine.fingerprint(below) == region_fingerprint(below)
+        assert engine.cache_info()["fingerprints"]["currsize"] == 0
+
+    def test_frozen_or_volume_runs_the_face_loop_once(self, small, monkeypatch):
+        engine = TopRREngine(small)
+        result = engine.query(5, PreferenceRegion.hyperrectangle(self.BOX))
+        assert result.polytope.backend == "polyhedron"
+        face_loops = []
+        unmemoised = Polyhedron.volume
+
+        def counted(body):
+            face_loops.append(body)
+            return unmemoised(body)
+
+        monkeypatch.setattr(Polyhedron, "volume", counted)
+        volumes = {engine.query(5, PreferenceRegion.hyperrectangle(self.BOX)).volume() for _ in range(3)}
+        assert len(face_loops) == 1
+        assert volumes == {unmemoised(result.polytope._ensure_polyhedron())}
 
 
 class TestEngineQuery:
@@ -388,21 +532,21 @@ class TestEngineBatch:
         assert engine.n_queries == 0
 
     def test_one_fingerprint_per_query(self, catalogue, regions, monkeypatch):
-        # A miss keys the result LRU and the r-skyband LRU with one fingerprint.
-        calls = []
-
-        def counted(region):
-            calls.append(region)
-            return region_fingerprint(region)
-
-        monkeypatch.setattr(engine_module, "region_fingerprint", counted)
+        # A miss keys the result LRU and the r-skyband LRU with one
+        # fingerprint; every later query of the same halfspace bytes, even on
+        # a freshly built region object, finds it in the memo.
+        calls = counted_fingerprints(monkeypatch)
         engine = TopRREngine(catalogue)
         engine.query(4, regions[0])
         assert len(calls) == 1
         engine.query(4, regions[0])  # a result hit
-        assert len(calls) == 2
+        assert len(calls) == 1
         engine.query(4, regions[0], use_cache=False)  # a skyband hit
-        assert len(calls) == 3
+        assert len(calls) == 1
+        A, b = regions[0].polytope.halfspaces
+        twin = PreferenceRegion(ConvexPolytope(A, b), n_attributes=3)
+        assert engine.query(4, twin) is engine.query(4, regions[0])
+        assert len(calls) == 1
 
     def test_warm_precomputes_skyband(self, catalogue, regions):
         engine = TopRREngine(catalogue)

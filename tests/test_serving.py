@@ -13,8 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.engine.engine as engine_module
+import repro.serving.server as server_module
 from repro.data.generators import generate_synthetic
-from repro.engine import TopRREngine
+from repro.engine import TopRREngine, region_fingerprint
 from repro.exceptions import InvalidParameterError
 from repro.preference.region import PreferenceRegion
 from repro.serving import (
@@ -25,7 +27,7 @@ from repro.serving import (
     request_json,
     start_server_thread,
 )
-from repro.serving.registry import AsyncReadWriteLock
+from repro.serving.registry import LATENCY_WINDOWS, AsyncReadWriteLock
 
 REGION = {"intervals": [[0.2, 0.6], [0.1, 0.5]]}
 
@@ -63,6 +65,10 @@ class TestEndpoints:
         assert entry["n_coalesced"] == 0
         assert entry["n_result_cache_hits"] == 0
         assert entry["latency"]["count"] == 0
+        assert set(entry["latency_by_route"]) == set(LATENCY_WINDOWS)
+        for window in entry["latency_by_route"].values():
+            assert window == {"count": 0, "p50_ms": 0.0, "p99_ms": 0.0}
+        assert entry["cache"]["fingerprints"]["hits"] == 0
         mutations = entry["cache"]["mutations"]
         assert mutations["n_deltas"] == 0
         assert mutations["n_entries_survived"] == 0
@@ -76,6 +82,44 @@ class TestEndpoints:
         assert status == 200
         assert second["served"]["cache_hit"] is True
         assert second["result"] == first["result"]
+
+    def test_latency_by_route_counts_each_outcome_once(self, replica):
+        url, _engine = replica
+        request_json(url, "POST", "/solve", {"k": 3, "region": REGION})  # a miss
+        request_json(url, "POST", "/solve", {"k": 3, "region": REGION})  # a hit
+        request_json(url, "POST", "/batch", {"queries": [{"k": 3, "region": REGION}]})
+        request_json(url, "POST", "/mutate", {"insert": {"values": [[0.9, 0.9, 0.9]]}})
+        status, body = request_json(url, "GET", "/metrics")
+        assert status == 200
+        entry = body["datasets"]["default"]
+        counts = {name: window["count"] for name, window in entry["latency_by_route"].items()}
+        assert counts == {"solve.hit": 1, "solve.miss": 1, "solve.coalesced": 0, "batch": 1, "mutate": 1}
+        assert entry["latency"]["count"] == 4
+        for window in entry["latency_by_route"].values():
+            assert window["p99_ms"] >= window["p50_ms"] >= 0.0
+
+    def test_one_fingerprint_per_served_request(self, replica, monkeypatch):
+        # A served miss computes the fingerprint once (result peek, coalescing
+        # key and engine query share it); freshly parsed repeats compute none.
+        url, _engine = replica
+        calls = []
+
+        def counted(region):
+            calls.append(region)
+            return region_fingerprint(region)
+
+        monkeypatch.setattr(engine_module, "region_fingerprint", counted)
+        monkeypatch.setattr(server_module, "region_fingerprint", counted)
+        fresh = {"intervals": [[0.25, 0.55], [0.15, 0.45]]}
+        status, first = request_json(url, "POST", "/solve", {"k": 3, "region": fresh})
+        assert status == 200 and first["served"]["cache_hit"] is False
+        assert len(calls) == 1
+        status, second = request_json(url, "POST", "/solve", {"k": 3, "region": fresh})
+        assert second["served"]["cache_hit"] is True
+        status, batch = request_json(url, "POST", "/batch", {"queries": [{"k": 3, "region": fresh}] * 3})
+        assert [r["served"]["cache_hit"] for r in batch["responses"]] == [True] * 3
+        assert batch["responses"][0]["result"] == first["result"]
+        assert len(calls) == 1
 
     def test_solve_with_halfspace_region(self, replica):
         url, _engine = replica
@@ -192,7 +236,11 @@ class TestConcurrency:
         coalesced = sum(1 for _, body in responses if body["served"]["coalesced"])
         assert coalesced >= 1, "concurrent identical solves must share the solve"
         status, metrics = request_json(url, "GET", "/metrics")
-        assert metrics["datasets"]["default"]["n_coalesced"] == coalesced
+        entry = metrics["datasets"]["default"]
+        assert entry["n_coalesced"] == coalesced
+        by_route = entry["latency_by_route"]
+        assert by_route["solve.coalesced"]["count"] == coalesced
+        assert sum(by_route[w]["count"] for w in ("solve.hit", "solve.miss", "solve.coalesced")) == 8
 
     def test_mixed_solves_and_mutations_stay_consistent(self, replica):
         url, _engine = replica
