@@ -26,10 +26,6 @@
 * :mod:`repro.core.parallel` — parallel solving over a chopped ``wR``
   (future-work direction of Section 7): a
   :class:`~repro.core.parallel.RegionParallelSolver` passed as ``method``.
-* :mod:`repro.core.sharded` — the decomposition theorem of the r-skyband
-  over disjoint option shards, with its serial reference
-  :func:`~repro.core.sharded.sharded_r_skyband` (a test of the theorem, not
-  a query path).
 
 Every query enters through :func:`~repro.core.toprr.solve_toprr` or
 :class:`~repro.engine.TopRREngine`.  The paper's other future-work
@@ -47,7 +43,6 @@ from repro.core.placement import cheapest_enhancement, cheapest_new_option, smal
 from repro.core.verify import verify_result_by_sampling
 from repro.core.composite import constrain_result, solve_toprr_union
 from repro.core.sampled import evaluate_sampled_exactness, sampled_toprr
-from repro.core.sharded import sharded_r_skyband
 from repro.core.serialization import load_result, save_result
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "constrain_result",
     "sampled_toprr",
     "evaluate_sampled_exactness",
-    "sharded_r_skyband",
     "save_result",
     "load_result",
 ]

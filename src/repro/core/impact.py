@@ -14,21 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.geometry.halfspace import Halfspace
 from repro.geometry.polytope import ConvexPolytope
 from repro.preference.space import PreferenceSpace
 from repro.topk.query import top_k_from_scores
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
-
-
-def impact_halfspace(full_weight: Sequence[float], threshold: float) -> Halfspace:
-    """The impact halfspace ``oH(w) = {o : w . o >= threshold}`` in option space.
-
-    Stored in the package's canonical ``a . x <= b`` form, i.e. as
-    ``-w . o <= -threshold``.
-    """
-    weight = np.asarray(full_weight, dtype=float)
-    return Halfspace(-weight, -float(threshold), normalize=False)
 
 
 def impact_thresholds(

@@ -183,7 +183,7 @@ def region_profiles(working: WorkingSet, region: PreferenceRegion) -> List[Verte
     """Per-vertex :class:`VertexProfile` list for every defining vertex of ``region``.
 
     This is the legacy (reference) representation; the solvers use the
-    array-backed :meth:`repro.core.profiles.RegionProfiles.of_region` instead.
+    array-backed :meth:`repro.core.profiles.RegionProfiles.compute` instead.
     """
     return [vertex_profile(working, v) for v in region.vertices]
 

@@ -165,12 +165,14 @@ class RegionParallelSolver:
     ):
         if n_workers <= 0:
             raise InvalidParameterError(f"n_workers must be positive, got {n_workers}")
+        if n_pieces is not None and n_pieces <= 0:
+            raise InvalidParameterError(f"n_pieces must be positive, got {n_pieces}")
         if executor not in EXECUTORS:
             raise InvalidParameterError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         self.n_workers = int(n_workers)
-        self.n_pieces = int(n_pieces or 2 * n_workers)
+        self.n_pieces = int(2 * n_workers if n_pieces is None else n_pieces)
         self.executor = executor
         self.tol = tol
         self._solver_kwargs = {"rng": rng, "tol": tol, "incremental": incremental}

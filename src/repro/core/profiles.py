@@ -208,11 +208,6 @@ class RegionProfiles:
         ordered = topk_order_matrix(scores, working.active, working.k)
         return cls(vertices, ordered, working)
 
-    @classmethod
-    def of_region(cls, working: "WorkingSet", region: "PreferenceRegion") -> "RegionProfiles":
-        """Profiles of every defining vertex of ``region``."""
-        return cls.compute(working, region.vertices)
-
     # ------------------------------------------------------------------ #
     # sequence protocol (legacy VertexProfile views)
     # ------------------------------------------------------------------ #

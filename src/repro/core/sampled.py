@@ -138,11 +138,6 @@ class SampledExactnessReport:
     false_accept_rate: float
     worst_uncovered_fraction: float
 
-    @property
-    def is_exact(self) -> bool:
-        """True when no probe exposed the baseline's inexactness."""
-        return self.n_false_accepts == 0
-
 
 def evaluate_sampled_exactness(
     exact: TopRRResult,

@@ -161,12 +161,6 @@ class Dataset:
             name=name or f"{self.name}[subset:{idx.size}]",
         )
 
-    def without(self, indices: Iterable[int], name: Optional[str] = None) -> "Dataset":
-        """A new dataset with the options at ``indices`` removed."""
-        drop = set(int(i) for i in indices)
-        keep = [i for i in range(self.n_options) if i not in drop]
-        return self.subset(keep, name=name or f"{self.name}[minus:{len(drop)}]")
-
     # ------------------------------------------------------------------ #
     # streaming mutations (versioned)
     # ------------------------------------------------------------------ #
@@ -328,15 +322,6 @@ class Dataset:
                 f"weight vector must have {self.n_attributes} components, got {weight.shape}"
             )
         return self._values @ weight
-
-    def scores_many(self, weights: np.ndarray) -> np.ndarray:
-        """Score matrix of shape ``(n_options, n_weights)`` for several full weight vectors."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != self.n_attributes:
-            raise DimensionMismatchError(
-                f"weights must be (m, {self.n_attributes}), got {weights.shape}"
-            )
-        return self._values @ weights.T
 
     # ------------------------------------------------------------------ #
     # reporting helpers

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 
 def _format_value(value) -> str:
@@ -62,8 +62,3 @@ def save_csv_rows(rows: Sequence[dict], path: Union[str, Path]) -> Path:
         for row in rows:
             writer.writerow(row)
     return path
-
-
-def print_rows(rows: Iterable[dict], title: str = "") -> None:
-    """Convenience wrapper printing :func:`format_table` to stdout."""
-    print(format_table(list(rows), title=title))

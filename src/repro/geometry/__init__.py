@@ -2,10 +2,10 @@
 
 This subpackage replaces the C++/qhull layer used by the paper's authors.
 It provides hyperplanes and halfspaces, convex polytopes with the hybrid
-facet/vertex/halfspace representation of Section 4.2.2, LP helpers
-(feasibility, Chebyshev centres), vertex enumeration via halfspace
-intersection, polytope volume, and the quadratic-programming placement
-solvers used for cost-optimal option creation and enhancement.
+facet/vertex/halfspace representation of Section 4.2.2, the Chebyshev-centre
+LP, vertex enumeration via halfspace intersection, polytope volume, and the
+quadratic-programming placement solvers used for cost-optimal option
+creation and enhancement.
 
 Three interchangeable backends implement the polytope primitives (see
 :mod:`repro.geometry.polytope`): the generic LP/qhull path, an exact 2-D
@@ -23,13 +23,12 @@ from repro.geometry.halfspace import Halfspace
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.polytope import (
     ConvexPolytope,
-    default_backend,
     set_default_backend,
     use_backend,
 )
 from repro.geometry.polygon import Polygon, polygon_from_halfspaces
 from repro.geometry.polyhedron import Polyhedron, polyhedron_from_halfspaces
-from repro.geometry.chebyshev import chebyshev_center, is_feasible
+from repro.geometry.chebyshev import chebyshev_center
 from repro.geometry.counters import geometry_counters
 from repro.geometry.vertex_enum import (
     canonicalize_polygon_vertices,
@@ -47,12 +46,10 @@ __all__ = [
     "polyhedron_from_halfspaces",
     "canonicalize_polygon_vertices",
     "canonicalize_polyhedron_vertices",
-    "default_backend",
     "set_default_backend",
     "use_backend",
     "geometry_counters",
     "chebyshev_center",
-    "is_feasible",
     "minimize_quadratic_cost",
     "project_point_onto_polytope",
 ]

@@ -1,4 +1,4 @@
-"""Linear-programming helpers: feasibility and Chebyshev centres.
+"""The Chebyshev-centre linear program.
 
 The Chebyshev centre of a polytope ``{x : A x <= b}`` is the centre of its
 largest inscribed ball.  It serves two purposes in this package:
@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.exceptions import InfeasibleProblemError
 from repro.geometry.counters import geometry_counters
 
 
@@ -79,53 +78,4 @@ def chebyshev_center(
     center = np.asarray(res.x[:dim], dtype=float)
     radius = float(res.x[-1])
     return center, radius
-
-
-def is_feasible(A: np.ndarray, b: np.ndarray, bound: float = 1e6) -> bool:
-    """Return True if ``{x : A x <= b}`` is non-empty (possibly lower-dimensional)."""
-    center, radius = chebyshev_center(A, b, bound=bound)
-    return center is not None and radius >= 0.0
-
-
-def interior_point(A: np.ndarray, b: np.ndarray, bound: float = 1e6) -> np.ndarray:
-    """Return a strictly interior point of ``{x : A x <= b}``.
-
-    Raises
-    ------
-    InfeasibleProblemError
-        If the polytope is empty or has an empty interior (degenerate).
-    """
-    center, radius = chebyshev_center(A, b, bound=bound)
-    if center is None or radius <= 0.0:
-        raise InfeasibleProblemError(
-            "polytope is empty or lower-dimensional; no strictly interior point exists"
-        )
-    return center
-
-
-def maximize_linear(
-    objective: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    bound: float = 1e6,
-) -> Tuple[np.ndarray, float]:
-    """Maximise ``objective . x`` over ``{x : A x <= b}`` (within a safety box).
-
-    Returns the optimal point and value.  Used for redundancy checks and for
-    computing extreme option placements inside the TopRR output region.
-    """
-    objective = np.asarray(objective, dtype=float)
-    dim = objective.shape[0]
-    geometry_counters.n_lp_calls += 1
-    res = linprog(
-        -objective,
-        A_ub=np.asarray(A, dtype=float),
-        b_ub=np.asarray(b, dtype=float),
-        bounds=[(-bound, bound)] * dim,
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleProblemError("linear program is infeasible or unbounded")
-    point = np.asarray(res.x, dtype=float)
-    return point, float(objective @ point)
 

@@ -8,11 +8,11 @@ closed-form clipping.  The only way to assert that from a test (or to
 report it from :class:`~repro.core.stats.SolverStats`) is to count the
 calls at the source.
 
-Every LP solve (:func:`repro.geometry.chebyshev.chebyshev_center`,
-:func:`~repro.geometry.chebyshev.maximize_linear`), every qhull halfspace
-intersection (:func:`repro.geometry.vertex_enum.enumerate_vertices`) and
-every clipping pass (:mod:`repro.geometry.polygon`,
-:mod:`repro.geometry.polyhedron`) increments the process-wide
+Every LP solve (:func:`repro.geometry.chebyshev.chebyshev_center`), every
+qhull halfspace intersection
+(:func:`repro.geometry.vertex_enum.enumerate_vertices`) and every clipping
+pass (:mod:`repro.geometry.polygon`, :mod:`repro.geometry.polyhedron`)
+increments the process-wide
 :data:`geometry_counters`.  The counters are ``threading.local`` so that
 concurrent solves (e.g. the HTTP server's thread pool running
 :meth:`TopRREngine.query`) each observe their own deltas; solvers snapshot
@@ -41,8 +41,7 @@ class GeometryCounters(threading.local):
     Attributes
     ----------
     n_lp_calls:
-        ``scipy.optimize.linprog`` round trips (Chebyshev centres,
-        feasibility tests, linear maximisation).
+        ``scipy.optimize.linprog`` round trips (Chebyshev centres).
     n_qhull_calls:
         qhull halfspace intersections (general-dimension vertex
         enumeration).

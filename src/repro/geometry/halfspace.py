@@ -62,23 +62,6 @@ class Halfspace:
         """Positive amount by which ``point`` violates the constraint (0 if satisfied)."""
         return max(0.0, self.boundary.evaluate(point))
 
-    def complement(self) -> "Halfspace":
-        """The opposite closed halfspace ``a . x >= b`` expressed as ``-a . x <= -b``."""
-        return Halfspace(-self.normal, -self.offset, normalize=False)
-
-    def as_inequality(self) -> tuple[np.ndarray, float]:
-        """Return ``(a, b)`` for the constraint ``a . x <= b``."""
-        return self.normal.copy(), float(self.offset)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         terms = " + ".join(f"{c:.4g}*x{i}" for i, c in enumerate(self.normal))
         return f"Halfspace({terms} <= {self.offset:.4g})"
-
-
-def stack_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sequence of halfspaces into matrix form ``(A, b)`` with ``A x <= b``."""
-    if not halfspaces:
-        raise ValueError("cannot stack an empty sequence of halfspaces")
-    A = np.vstack([h.normal for h in halfspaces])
-    b = np.array([h.offset for h in halfspaces], dtype=float)
-    return A, b

@@ -67,37 +67,9 @@ class Hyperplane:
             return 0
         return 1 if value > 0 else -1
 
-    def classify_many(self, points: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """Vectorised :meth:`side` returning an int array of -1/0/+1 labels."""
-        values = self.evaluate_many(points)
-        labels = np.sign(values).astype(int)
-        labels[np.abs(values) <= tol.geometry] = 0
-        return labels
-
-    def flipped(self) -> "Hyperplane":
-        """The same geometric hyperplane with the normal pointing the other way."""
-        return Hyperplane(-self.normal, -self.offset, normalize=False)
-
     def contains(self, point: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:
         """Return True if ``point`` lies on the hyperplane within tolerance."""
         return tol.is_zero(self.evaluate(point))
-
-    def intersection_parameter(
-        self, start: np.ndarray, end: np.ndarray, tol: Tolerance = DEFAULT_TOL
-    ) -> float | None:
-        """Parameter ``t`` in [0, 1] where the segment ``start→end`` crosses the plane.
-
-        Returns ``None`` when the segment is (numerically) parallel to the
-        hyperplane.  This is the primitive used when splitting a polytope
-        edge by a splitting hyperplane.
-        """
-        f_start = self.evaluate(start)
-        f_end = self.evaluate(end)
-        denom = f_start - f_end
-        if tol.is_zero(denom):
-            return None
-        t = f_start / denom
-        return float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         terms = " + ".join(f"{c:.4g}*x{i}" for i, c in enumerate(self.normal))

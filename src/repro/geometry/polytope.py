@@ -5,8 +5,9 @@ A :class:`ConvexPolytope` keeps three coordinated views of the same body
 
 * the H-representation ``A x <= b`` (one row per bounding halfspace),
 * the V-representation (the defining vertices), and
-* the vertex–facet incidence ("facet-based representation": each facet is a
-  hyperplane augmented with the defining vertices lying on it).
+* the "facet-based representation" (each facet is a hyperplane augmented
+  with the defining vertices lying on it), which the closed-form backends
+  below keep as labelled polygon edges and labelled polyhedron face rings.
 
 Splitting a polytope by a hyperplane — the core geometric operation of the
 test-and-split algorithms — classifies the vertices by side, reuses the
@@ -58,7 +59,7 @@ import warnings
 import numpy as np
 
 from repro.exceptions import DegeneratePolytopeError, EmptyRegionError
-from repro.geometry.chebyshev import chebyshev_center, maximize_linear
+from repro.geometry.chebyshev import chebyshev_center
 from repro.geometry.counters import geometry_counters
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.hyperplane import Hyperplane
@@ -80,7 +81,6 @@ from repro.geometry.vertex_enum import (
     canonicalize_polyhedron_vertices,
     deduplicate_points,
     enumerate_vertices,
-    vertex_facet_incidence,
 )
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
@@ -109,11 +109,6 @@ def _warn_backend_fallback_once(kind: str) -> None:
         RuntimeWarning,
         stacklevel=4,
     )
-
-
-def default_backend() -> str:
-    """The module-wide backend specification new polytopes start from."""
-    return _DEFAULT_BACKEND
 
 
 def set_default_backend(backend: str) -> None:
@@ -247,7 +242,6 @@ class ConvexPolytope:
         self._volume: Optional[float] = None
         self._chebyshev: Optional[Tuple[Optional[np.ndarray], float]] = None
         self._interior: Optional[bool] = None
-        self._incidence: Optional[np.ndarray] = None
         self._backend_health: Optional[bool] = None
         self._read_only = False
 
@@ -538,12 +532,6 @@ class ConvexPolytope:
         """Number of defining vertices."""
         return self.vertices.shape[0]
 
-    def incidence(self) -> np.ndarray:
-        """Vertex–facet incidence matrix (the facet-based representation)."""
-        if self._incidence is None:
-            self._incidence = vertex_facet_incidence(self.vertices, self._A, self._b, self._tol)
-        return self._incidence
-
     # ------------------------------------------------------------------ #
     # membership and measurements
     # ------------------------------------------------------------------ #
@@ -613,29 +601,6 @@ class ConvexPolytope:
         if verts.shape[0] == 0:
             raise EmptyRegionError("empty polytope has no bounding box")
         return verts.min(axis=0), verts.max(axis=0)
-
-    def support(self, direction: Sequence[float]) -> Tuple[np.ndarray, float]:
-        """Maximise ``direction . x`` over the polytope.
-
-        The closed-form backends evaluate the direction on the vertex set;
-        the generic path solves an LP.
-        """
-        direction = np.asarray(direction, dtype=float)
-        closed_form = (
-            self._polygon_backend_active() and not self._ensure_polygon().touches_bound()
-        ) or (
-            self._polyhedron_backend_active() and not self._ensure_polyhedron().touches_bound()
-        )
-        if closed_form:
-            try:
-                verts = self.vertices
-            except DegeneratePolytopeError:
-                verts = np.empty((0, self.dimension))
-            if verts.shape[0]:
-                values = verts @ direction
-                best = int(np.argmax(values))
-                return verts[best].copy(), float(values[best])
-        return maximize_linear(direction, self._A, self._b)
 
     # ------------------------------------------------------------------ #
     # construction of derived polytopes
@@ -749,65 +714,6 @@ class ConvexPolytope:
         below = self.intersect_halfspace(below_halfspace)
         above = self.intersect_halfspace(above_halfspace)
         return below, above
-
-    def classify_vertices(self, hyperplane: Hyperplane) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Partition the vertex indices by side of ``hyperplane``.
-
-        Returns ``(below, on, above)`` index arrays, implementing the vertex
-        classification ``V_<`` / ``V_>`` of Section 4.2.2 (vertices on the
-        hyperplane belong to both children).
-        """
-        labels = hyperplane.classify_many(self.vertices, tol=self._tol)
-        below = np.flatnonzero(labels < 0)
-        on = np.flatnonzero(labels == 0)
-        above = np.flatnonzero(labels > 0)
-        return below, on, above
-
-    def prune_redundant(self) -> "ConvexPolytope":
-        """Drop stored halfspaces that are not tight at any vertex.
-
-        For a bounded, full-dimensional polytope every true facet is tight at
-        at least ``dimension`` vertices; halfspaces tight at no vertex are
-        certainly redundant and removing them keeps the representation small
-        as splits accumulate constraints.
-        """
-        verts = self.vertices
-        if verts.shape[0] == 0:
-            return self
-        incidence = vertex_facet_incidence(verts, self._A, self._b, self._tol)
-        tight_counts = incidence.sum(axis=0)
-        keep = tight_counts >= 1
-        if np.all(keep):
-            return self
-        polygon = None
-        polyhedron = None
-        new_index = np.cumsum(keep) - 1
-        if self._polygon_backend_active() and self._polygon is not None:
-            # Re-index the polygon's edge labels to the surviving rows.  Edge
-            # labels always refer to facets tight at two vertices, so they
-            # are never dropped; synthetic (negative) labels pass through.
-            labels = self._polygon.edge_labels
-            remapped = np.where(labels >= 0, new_index[np.clip(labels, 0, None)], labels)
-            polygon = Polygon(self._polygon.points, remapped)
-        elif self._polyhedron_backend_active() and self._polyhedron is not None:
-            # Same re-indexing for face labels (tight at >= 3 vertices, so
-            # never dropped); synthetic safety-cube labels pass through.
-            polyhedron = Polyhedron(
-                self._polyhedron.points,
-                [
-                    (ring, int(new_index[label]) if label >= 0 else label)
-                    for ring, label in self._polyhedron.faces
-                ],
-            )
-        return ConvexPolytope(
-            self._A[keep],
-            self._b[keep],
-            vertices=verts,
-            tol=self._tol,
-            backend=self._backend_spec,
-            polygon=polygon,
-            polyhedron=polyhedron,
-        )
 
     def sample(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n_samples`` points from the polytope by rejection inside its bounding box.

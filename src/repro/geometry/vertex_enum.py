@@ -69,8 +69,8 @@ def canonicalize_polygon_vertices(
     """Canonical form of a 2-D vertex set: facet-snapped, deduplicated, lexsorted.
 
     Each vertex is recomputed as the exact intersection of two of its tight
-    facets (rows of ``A x <= b`` it lies on, under the same tightness rule as
-    :func:`vertex_facet_incidence`), via a fixed-order Cramer solve.  The
+    facets (rows ``j`` of ``A x <= b`` with ``|b_j - a_j . v| <= tol.dedup *
+    max(1, |b_j|)``), via a fixed-order Cramer solve.  The
     facet pair is chosen deterministically: the lexicographically smallest
     tight pair whose normals are not nearly parallel (``|det| >= 1e-9``),
     falling back to the maximum-``|det|`` pair.  Vertices with fewer than two
@@ -330,37 +330,3 @@ def enumerate_vertices(
     if dim == 3:
         return canonicalize_polyhedron_vertices(A, b, vertices, tol=tol)
     return deduplicate_points(vertices, tol=tol)
-
-
-def vertex_facet_incidence(
-    vertices: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Boolean matrix ``I`` with ``I[i, j]`` true when vertex ``i`` lies on facet ``j``.
-
-    This realises the paper's facet-based representation: each facet
-    (bounding halfspace) is augmented with the defining vertices that lie on
-    it (Section 4.2.2, Figure 4).
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if vertices.size == 0:
-        return np.zeros((0, A.shape[0]), dtype=bool)
-    slack = b[None, :] - vertices @ A.T
-    scale = np.maximum(1.0, np.abs(b))[None, :]
-    return np.abs(slack) <= tol.dedup * scale
-
-
-def enumerate_box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """All ``2^d`` corners of the axis-aligned box ``[lower, upper]``."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    dim = lower.shape[0]
-    corners = np.empty((2**dim, dim))
-    for i in range(2**dim):
-        for j in range(dim):
-            corners[i, j] = upper[j] if (i >> j) & 1 else lower[j]
-    return corners

@@ -229,12 +229,6 @@ class PreferenceRegion:
             tol=self._tol,
         )
 
-    def pruned(self) -> "PreferenceRegion":
-        """Region with redundant bounding halfspaces removed."""
-        return PreferenceRegion(
-            self._polytope.prune_redundant(), n_attributes=self.n_attributes, tol=self._tol
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"PreferenceRegion(d={self.n_attributes}, reduced_dim={self.dimension}, "

@@ -22,7 +22,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
-from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 
 class PreferenceSpace:
@@ -82,15 +81,6 @@ class PreferenceSpace:
             full = full / total
         return full[:-1].copy()
 
-    def is_valid_reduced(self, reduced: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:
-        """True if the reduced vector corresponds to a non-negative full weight vector."""
-        reduced = np.asarray(reduced, dtype=float)
-        if reduced.shape != (self.dimension,):
-            return False
-        if np.any(reduced < -tol.geometry):
-            return False
-        return float(reduced.sum()) <= 1.0 + tol.geometry
-
     # ------------------------------------------------------------------ #
     # simplex geometry
     # ------------------------------------------------------------------ #
@@ -100,10 +90,6 @@ class PreferenceSpace:
         A = np.vstack([-np.eye(dim), np.ones((1, dim))])
         b = np.concatenate([np.zeros(dim), [1.0]])
         return A, b
-
-    def barycentre(self) -> np.ndarray:
-        """The uniform weight vector in reduced coordinates."""
-        return np.full(self.dimension, 1.0 / self.n_attributes)
 
     # ------------------------------------------------------------------ #
     # scoring in reduced coordinates

@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.exceptions import EmptyRegionError, InvalidParameterError
 from repro.preference.region import PreferenceRegion
-from repro.topk.skyband import count_dominators, dominance_count, skyband_of_values
+from repro.topk.skyband import skyband_of_values
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 
@@ -43,32 +43,3 @@ def r_skyband(
         raise InvalidParameterError(f"k must be positive, got {k}")
     scores = vertex_score_matrix(dataset, region)
     return skyband_of_values(scores, k, tol=tol)
-
-
-def r_dominance_count(
-    dataset: Dataset,
-    region: PreferenceRegion,
-    cap: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Number of r-dominators of every option, capped at ``cap``."""
-    scores = vertex_score_matrix(dataset, region)
-    return dominance_count(scores, cap=cap, tol=tol)
-
-
-def r_dominates(
-    option_a: np.ndarray,
-    option_b: np.ndarray,
-    region: PreferenceRegion,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """True if ``option_a`` r-dominates ``option_b`` with respect to ``region``.
-
-    Compares the vertex scores with ``tol.geometry``, the tolerance the
-    r-skyband filter (:func:`~repro.topk.skyband.skyband_of_values`) applies
-    to the same scores, so the two always agree.
-    """
-    vertices_full = region.full_vertices()
-    scores_a = vertices_full @ np.asarray(option_a, dtype=float)
-    scores_b = vertices_full @ np.asarray(option_b, dtype=float)
-    return bool(count_dominators(scores_b[None, :], scores_a[None, :], 1, tol)[0])

@@ -11,6 +11,7 @@ volatile half (latency, cache/coalescing flags) lives under ``"served"``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -21,6 +22,51 @@ from repro.exceptions import InvalidParameterError
 from repro.geometry.polytope import ConvexPolytope
 from repro.preference.region import PreferenceRegion
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
+from repro.utils.validation import check_positive_int
+
+
+def _intervals(value, n_attributes: int) -> List[tuple]:
+    """``value`` as ``n_attributes - 1`` ``(lo, hi)`` pairs of finite JSON numbers.
+
+    Checked in plain Python rather than through :func:`_number_array`: every
+    served query parses its region, and at two pairs a numpy round trip
+    costs several times the check itself.
+    """
+    if type(value) is not list or any(type(pair) is not list or len(pair) != 2 for pair in value):
+        raise InvalidParameterError("region 'intervals' must be a list of [lo, hi] pairs")
+    if len(value) != n_attributes - 1:
+        raise InvalidParameterError(
+            f"region intervals cover {len(value)} reduced axes but the "
+            f"dataset has {n_attributes} attributes (needs {n_attributes - 1})"
+        )
+    for lo, hi in value:
+        if type(lo) not in (int, float) or type(hi) not in (int, float):
+            raise InvalidParameterError("region 'intervals' must hold only numbers")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidParameterError("region 'intervals' must hold only finite numbers")
+    return [(float(lo), float(hi)) for lo, hi in value]
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, accepting JSON numbers only.
+
+    Only finite integer and float arrays pass.  Strings, ``null``,
+    all-boolean arrays, ragged nesting and the ``NaN``/``Infinity`` literals
+    Python's JSON parser accepts raise
+    :class:`~repro.exceptions.InvalidParameterError`, where a float
+    conversion would accept ``"0.5"`` and ``true`` or fail with a bare
+    ``TypeError``/``ValueError``.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise InvalidParameterError(f"{name} must be a rectangular array of numbers") from None
+    if array.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must hold only numbers")
+    array = array.astype(float)
+    if not np.all(np.isfinite(array)):
+        raise InvalidParameterError(f"{name} must hold only finite numbers")
+    return array
 
 
 def region_from_spec(
@@ -41,22 +87,18 @@ def region_from_spec(
             "region must be an object with 'intervals' or 'A'/'b' keys"
         )
     if "intervals" in spec:
-        intervals = spec["intervals"]
-        if len(intervals) != n_attributes - 1:
-            raise InvalidParameterError(
-                f"region intervals cover {len(intervals)} reduced axes but the "
-                f"dataset has {n_attributes} attributes (needs {n_attributes - 1})"
-            )
-        return PreferenceRegion.hyperrectangle(
-            [(float(lo), float(hi)) for lo, hi in intervals], tol=tol
-        )
+        return PreferenceRegion.hyperrectangle(_intervals(spec["intervals"], n_attributes), tol=tol)
     if "A" in spec and "b" in spec:
-        A = np.asarray(spec["A"], dtype=float)
-        b = np.asarray(spec["b"], dtype=float)
+        A = _number_array(spec["A"], "region 'A'")
+        b = _number_array(spec["b"], "region 'b'")
         if A.ndim != 2 or A.shape[1] != n_attributes - 1:
             raise InvalidParameterError(
                 f"region halfspace matrix must be (m, {n_attributes - 1}), "
                 f"got {A.shape}"
+            )
+        if b.shape != (A.shape[0],):
+            raise InvalidParameterError(
+                f"region 'b' must have one entry per row of 'A' ({A.shape[0]}), got {b.shape}"
             )
         return PreferenceRegion(
             ConvexPolytope(A, b, tol=tol), n_attributes=n_attributes, tol=tol
@@ -67,14 +109,10 @@ def region_from_spec(
 
 
 def _require_positive_int(payload: dict, key: str) -> int:
-    """``payload[key]`` as a positive int, with a route-friendly error."""
-    try:
-        value = int(payload[key])
-    except (KeyError, TypeError, ValueError):
-        raise InvalidParameterError(f"request needs an integer {key!r} field") from None
-    if value <= 0:
-        raise InvalidParameterError(f"{key!r} must be positive, got {value}")
-    return value
+    """``payload[key]`` as a positive int: a JSON integer, never coerced."""
+    if key not in payload:
+        raise InvalidParameterError(f"request needs an integer {key!r} field")
+    return check_positive_int(payload[key], repr(key))
 
 
 @dataclass
@@ -168,7 +206,7 @@ class MutateRequest:
             if not isinstance(insert, dict) or "values" not in insert:
                 raise InvalidParameterError("'insert' must be an object with 'values'")
             request.insert_values = np.atleast_2d(
-                np.asarray(insert["values"], dtype=float)
+                _number_array(insert["values"], "'insert' values")
             )
             request.insert_ids = insert.get("option_ids")
         if delete is not None:

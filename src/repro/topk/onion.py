@@ -57,21 +57,3 @@ def k_onion_layers(dataset: Dataset, k: int) -> np.ndarray:
     if not selected:
         return np.empty(0, dtype=int)
     return np.sort(np.concatenate(selected))
-
-
-def onion_layer_assignment(dataset: Dataset, max_layers: int | None = None) -> np.ndarray:
-    """Layer number (1-based) of every option; options beyond ``max_layers`` get 0."""
-    values = dataset.values
-    n = dataset.n_options
-    layers = np.zeros(n, dtype=int)
-    remaining = np.arange(n)
-    layer_number = 0
-    while remaining.size > 0:
-        layer_number += 1
-        if max_layers is not None and layer_number > max_layers:
-            break
-        local_hull = _hull_vertex_indices(values[remaining])
-        layer = remaining[local_hull]
-        layers[layer] = layer_number
-        remaining = np.setdiff1d(remaining, layer, assume_unique=True)
-    return layers

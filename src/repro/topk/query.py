@@ -38,11 +38,6 @@ class TopKResult:
     threshold: float
 
     @property
-    def kth_index(self) -> int:
-        """Positional index of the top-k-th option."""
-        return int(self.indices[-1])
-
-    @property
     def index_set(self) -> frozenset:
         """Order-insensitive top-k set (frozen for hashing / comparison)."""
         return frozenset(int(i) for i in self.indices)

@@ -1,9 +1,8 @@
 """Linear scoring functions ``S_w(p) = w . p``.
 
 The paper (like most of the top-k literature) uses linear scoring with a
-normalised weight vector.  This module provides the vectorised primitives
-that every higher layer builds on, plus helpers for working with the reduced
-preference-space parameterisation where the last weight is implicit.
+normalised weight vector.  This module provides the vectorised primitive
+that every higher layer builds on.
 """
 
 from __future__ import annotations
@@ -24,34 +23,3 @@ def linear_scores(values: np.ndarray, weight: Sequence[float]) -> np.ndarray:
             f"incompatible shapes for scoring: values {values.shape}, weight {weight.shape}"
         )
     return values @ weight
-
-
-def linear_scores_many(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Score matrix ``(n_options, n_weights)`` for several full weight vectors."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if values.shape[1] != weights.shape[1]:
-        raise DimensionMismatchError(
-            f"incompatible shapes for scoring: values {values.shape}, weights {weights.shape}"
-        )
-    return values @ weights.T
-
-
-def score_difference_affine(p_i: np.ndarray, p_j: np.ndarray) -> tuple[np.ndarray, float]:
-    """Affine form of ``S_w(p_i) - S_w(p_j)`` over the *reduced* preference space.
-
-    With the last weight eliminated (``w[d-1] = 1 - sum of the others``) the
-    score of an option ``p`` becomes the affine function
-    ``p[d-1] + sum_j w[j] * (p[j] - p[d-1])`` of the reduced weight vector.
-    The difference of two such forms is returned as ``(coefficients, constant)``
-    so that ``S_w(p_i) - S_w(p_j) = coefficients . w_reduced + constant``.
-    This is exactly the hyperplane ``wHP(p_i, p_j)`` of the paper.
-    """
-    p_i = np.asarray(p_i, dtype=float)
-    p_j = np.asarray(p_j, dtype=float)
-    if p_i.shape != p_j.shape or p_i.ndim != 1:
-        raise DimensionMismatchError("options must be 1-D vectors of equal length")
-    diff = p_i - p_j
-    constant = float(diff[-1])
-    coefficients = diff[:-1] - constant
-    return coefficients, constant

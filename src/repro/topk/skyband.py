@@ -34,7 +34,7 @@ per *input* row and column.  Values must not be NaN.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class _Band:
         self.extend(rows, keys)
 
     def extend(self, rows: np.ndarray, keys: Optional[np.ndarray] = None) -> None:
+        """Append ``rows`` (and their ``keys``), rebuilding the partial last tile."""
         if keys is not None:
             rows = np.column_stack([rows, keys])
         self.size += rows.shape[0]
@@ -142,8 +143,8 @@ def _admitted_in_order(rows: np.ndarray, counts: np.ndarray, k: int, tol: Tolera
     return admitted
 
 
-def _skyband(values: np.ndarray, k: int, tol: Tolerance) -> Tuple[np.ndarray, _Band]:
-    """The k-skyband of ``values``: positions in admission order, and the band."""
+def _skyband(values: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
+    """The k-skyband of ``values``: positions in admission order."""
     sums = values.sum(axis=1)
     order = np.argsort(np.negative(sums, out=sums), kind="stable")
     del sums
@@ -162,7 +163,7 @@ def _skyband(values: np.ndarray, k: int, tol: Tolerance) -> Tuple[np.ndarray, _B
             if admitted.size:
                 band.extend(rows[admitted])
                 kept.append(block[admitted])
-    return np.concatenate(kept), band
+    return np.concatenate(kept)
 
 
 def skyband_of_values(values: np.ndarray, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -176,30 +177,9 @@ def skyband_of_values(values: np.ndarray, k: int, tol: Tolerance = DEFAULT_TOL) 
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
-    return np.sort(_skyband(np.asarray(values, dtype=float), k, tol)[0])
-
-
-def dominance_count(values: np.ndarray, cap: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Number of options dominating each row of ``values``, capped at ``cap``.
-
-    Exact up to the cap: the result is ``min(true count, cap)``, which is all
-    a k-skyband membership query needs.  Counting is done against the
-    ``cap``-skyband only (sufficient, see module docstring), which keeps the
-    cost close to linear for realistic data.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if cap <= 0:
-        raise InvalidParameterError(f"cap must be positive, got {cap}")
-    return _skyband(values, cap, tol)[1].count(values, cap, tol)
+    return np.sort(_skyband(np.asarray(values, dtype=float), k, tol))
 
 
 def k_skyband(dataset: Dataset, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Positional indices of the k-skyband of ``dataset`` (dominated by < k others)."""
     return skyband_of_values(dataset.values, k, tol=tol)
-
-
-def skyline(dataset: Dataset, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Positional indices of the skyline (the 1-skyband)."""
-    return k_skyband(dataset, 1, tol=tol)

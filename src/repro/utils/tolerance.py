@@ -44,18 +44,6 @@ class Tolerance:
         """Return True if ``value`` is geometrically indistinguishable from zero."""
         return abs(value) <= self.geometry
 
-    def is_positive(self, value: float) -> bool:
-        """Return True if ``value`` is strictly positive beyond the geometry tolerance."""
-        return value > self.geometry
-
-    def is_negative(self, value: float) -> bool:
-        """Return True if ``value`` is strictly negative beyond the geometry tolerance."""
-        return value < -self.geometry
-
-    def scores_equal(self, a: float, b: float) -> bool:
-        """Return True if two scores are equal within the score tolerance."""
-        return abs(a - b) <= self.score
-
 
 #: Package-wide default tolerance bundle.
 DEFAULT_TOL = Tolerance()

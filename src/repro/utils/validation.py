@@ -2,39 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.exceptions import DimensionMismatchError, InvalidParameterError
-
-
-def as_point(values: Sequence[float], dimension: int, name: str = "point") -> np.ndarray:
-    """Validate and convert ``values`` into a 1-D float array of length ``dimension``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] != dimension:
-        raise DimensionMismatchError(
-            f"{name} must have {dimension} coordinates, got {arr.shape[0]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} contains non-finite values")
-    return arr
-
-
-def as_matrix(values, dimension: int, name: str = "matrix") -> np.ndarray:
-    """Validate and convert ``values`` into a 2-D float array with ``dimension`` columns."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if arr.shape[1] != dimension:
-        raise DimensionMismatchError(
-            f"{name} must have {dimension} columns, got {arr.shape[1]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} contains non-finite values")
-    return arr
+from repro.exceptions import InvalidParameterError
 
 
 def check_positive_int(value: int, name: str) -> int:
@@ -44,11 +14,3 @@ def check_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
     return int(value)
-
-
-def check_in_unit_interval(value: float, name: str) -> float:
-    """Validate that ``value`` lies in [0, 1] and return it as ``float``."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
-    return value

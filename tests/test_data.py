@@ -54,11 +54,6 @@ class TestDataset:
         assert subset.option_ids == ["p2", "p4"]
         assert np.allclose(subset.values[0], figure1.values[1])
 
-    def test_without(self, figure1):
-        remaining = figure1.without([0, 5])
-        assert remaining.n_options == 4
-        assert "p1" not in remaining.option_ids
-
     def test_id_index_roundtrip(self, figure1):
         assert figure1.id_of(2) == "p3"
         assert figure1.index_of("p3") == 2
@@ -66,13 +61,6 @@ class TestDataset:
     def test_scores(self, figure1):
         scores = figure1.scores([0.5, 0.5])
         assert scores[0] == pytest.approx(0.65)  # p1 = (0.9, 0.4)
-
-    def test_scores_many(self, figure1):
-        weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-        matrix = figure1.scores_many(weights)
-        assert matrix.shape == (6, 2)
-        assert matrix[0, 0] == pytest.approx(0.9)
-        assert matrix[0, 1] == pytest.approx(0.4)
 
     def test_scores_dimension_mismatch(self, figure1):
         with pytest.raises(DimensionMismatchError):

@@ -16,7 +16,7 @@ from repro.experiments.figures import (
     run_experiment,
     table7_elongation,
 )
-from repro.experiments.reporting import format_table, print_rows, save_csv_rows
+from repro.experiments.reporting import format_table, save_csv_rows
 from repro.experiments.runner import run_method, run_methods
 from repro.experiments.workloads import make_dataset, make_queries, make_real_dataset, make_regions
 
@@ -99,10 +99,6 @@ class TestReporting:
         path = save_csv_rows(rows, tmp_path / "rows.csv")
         assert path.exists()
         assert path.read_text().splitlines()[0] == "x,y"
-
-    def test_print_rows(self, capsys):
-        print_rows([{"a": 1}], title="t")
-        assert "a" in capsys.readouterr().out
 
 
 class TestFigureRunners:

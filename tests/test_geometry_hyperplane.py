@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.geometry.halfspace import Halfspace, stack_halfspaces
+from repro.geometry.halfspace import Halfspace
 from repro.geometry.hyperplane import Hyperplane
 
 
@@ -35,31 +35,10 @@ class TestHyperplane:
         assert plane.side([0.9, 0.9]) == 1
         assert plane.side([0.1, 0.1]) == -1
 
-    def test_classify_many(self):
-        plane = Hyperplane([1.0, 0.0], 0.5)
-        labels = plane.classify_many(np.array([[0.1, 0.0], [0.5, 0.0], [0.9, 0.0]]))
-        assert labels.tolist() == [-1, 0, 1]
-
-    def test_flipped_plane_has_same_zero_set(self):
-        plane = Hyperplane([2.0, -1.0], 0.3)
-        flipped = plane.flipped()
-        point = np.array([0.4, 0.5])
-        assert np.isclose(plane.evaluate(point), -flipped.evaluate(point))
-
     def test_contains(self):
         plane = Hyperplane([0.0, 1.0], 0.25)
         assert plane.contains([0.9, 0.25])
         assert not plane.contains([0.9, 0.35])
-
-    def test_intersection_parameter_on_crossing_segment(self):
-        plane = Hyperplane([1.0, 0.0], 0.5)
-        t = plane.intersection_parameter(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        assert t == pytest.approx(0.5)
-
-    def test_intersection_parameter_parallel_segment(self):
-        plane = Hyperplane([1.0, 0.0], 0.5)
-        t = plane.intersection_parameter(np.array([0.2, 0.0]), np.array([0.2, 1.0]))
-        assert t is None
 
     def test_dimension(self):
         assert Hyperplane([1.0, 2.0, 3.0], 1.0).dimension == 3
@@ -82,30 +61,7 @@ class TestHalfspace:
         assert half.violation([0.4, 0.0]) == 0.0
         assert half.violation([0.8, 0.0]) == pytest.approx(0.3)
 
-    def test_complement_covers_the_other_side(self):
-        half = Halfspace([1.0, 0.0], 0.5)
-        other = half.complement()
-        assert other.contains([0.9, 0.0])
-        assert not other.contains([0.1, 0.0])
-        # Boundary belongs to both closed halfspaces.
-        assert half.contains([0.5, 0.0]) and other.contains([0.5, 0.0])
-
     def test_from_hyperplane(self):
         plane = Hyperplane([1.0, 1.0], 1.0)
         half = Halfspace.from_hyperplane(plane)
         assert half.contains([0.2, 0.2])
-
-    def test_as_inequality_roundtrip(self):
-        half = Halfspace([2.0, 0.0], 1.0)
-        normal, offset = half.as_inequality()
-        assert np.allclose(normal, [1.0, 0.0])
-        assert offset == pytest.approx(0.5)
-
-    def test_stack_halfspaces(self):
-        A, b = stack_halfspaces([Halfspace([1.0, 0.0], 1.0), Halfspace([0.0, 1.0], 2.0)])
-        assert A.shape == (2, 2)
-        assert b.shape == (2,)
-
-    def test_stack_empty_raises(self):
-        with pytest.raises(ValueError):
-            stack_halfspaces([])

@@ -263,13 +263,3 @@ class TestPolyhedronPrimitives:
         assert polyhedron.is_empty()
         center, radius = polyhedron_chebyshev(A, b, polyhedron)
         assert center is None and radius == float("-inf")
-
-    def test_prune_redundant_keeps_polyhedron_consistent(self):
-        cube = ConvexPolytope.from_box([0.0] * 3, [1.0] * 3, backend="polyhedron")
-        child = cube.intersect_halfspace(Halfspace([1.0, 0.0, 0.0], 2.0))
-        pruned = child.prune_redundant()
-        assert pruned.n_constraints == 6
-        assert pruned.backend == "polyhedron"
-        assert np.array_equal(pruned.vertices, cube.vertices)
-        below, above = pruned.split(Hyperplane(np.array([0.0, 1.0, 0.0]), 0.5))
-        assert below.volume() + above.volume() == pytest.approx(1.0)

@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import EmptyRegionError, InfeasibleProblemError
-from repro.geometry.chebyshev import chebyshev_center, interior_point, is_feasible, maximize_linear
+from repro.exceptions import EmptyRegionError
+from repro.geometry.chebyshev import chebyshev_center
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.polytope import ConvexPolytope, merge_vertex_sets
-from repro.geometry.vertex_enum import (
-    deduplicate_points,
-    enumerate_box_vertices,
-    enumerate_vertices,
-    vertex_facet_incidence,
-)
-from repro.geometry.volume import exact_volume, monte_carlo_volume, relative_volume
+from repro.geometry.vertex_enum import deduplicate_points, enumerate_vertices
 
 
 class TestChebyshev:
@@ -31,20 +25,6 @@ class TestChebyshev:
         center, radius = chebyshev_center(A, b)
         assert center is None
         assert radius == float("-inf")
-        assert not is_feasible(A, b)
-
-    def test_interior_point_raises_on_degenerate(self):
-        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        b = np.array([0.5, -0.5, 1.0, 0.0])  # x = 0.5 exactly
-        with pytest.raises(InfeasibleProblemError):
-            interior_point(A, b)
-
-    def test_maximize_linear(self):
-        box = ConvexPolytope.from_box([0, 0], [1, 2])
-        A, b = box.halfspaces
-        point, value = maximize_linear(np.array([1.0, 1.0]), A, b)
-        assert value == pytest.approx(3.0, abs=1e-6)
-        assert np.allclose(point, [1.0, 2.0], atol=1e-6)
 
 
 class TestVertexEnumeration:
@@ -76,21 +56,6 @@ class TestVertexEnumeration:
     def test_deduplicate_points(self):
         points = np.array([[0.1, 0.2], [0.1 + 1e-12, 0.2], [0.3, 0.4]])
         assert deduplicate_points(points).shape[0] == 2
-
-    def test_box_corner_enumeration(self):
-        corners = enumerate_box_vertices(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
-        assert corners.shape == (8, 3)
-        assert len({tuple(c) for c in corners}) == 8
-
-    def test_vertex_facet_incidence_of_square(self):
-        box = ConvexPolytope.from_box([0, 0], [1, 1])
-        A, b = box.halfspaces
-        vertices = enumerate_vertices(A, b)
-        incidence = vertex_facet_incidence(vertices, A, b)
-        # In a square every vertex lies on exactly 2 of the 4 facets.
-        assert incidence.shape == (4, 4)
-        assert np.all(incidence.sum(axis=1) == 2)
-        assert np.all(incidence.sum(axis=0) == 2)
 
 
 class TestConvexPolytope:
@@ -142,22 +107,10 @@ class TestConvexPolytope:
         assert not below.is_empty()
         assert above.is_empty()
 
-    def test_classify_vertices(self):
-        box = ConvexPolytope.from_box([0, 0], [1, 1])
-        below, on, above = box.classify_vertices(Hyperplane([1.0, 0.0], 0.5))
-        assert len(below) == 2 and len(above) == 2 and len(on) == 0
-
     def test_intersect_halfspace(self):
         box = ConvexPolytope.from_box([0, 0], [1, 1])
         half = box.intersect_halfspace(Halfspace([1.0, 0.0], 0.5))
         assert half.volume() == pytest.approx(0.5, abs=1e-6)
-
-    def test_prune_redundant_keeps_geometry(self):
-        box = ConvexPolytope.from_box([0, 0], [1, 1])
-        redundant = box.intersect_halfspace(Halfspace([1.0, 0.0], 5.0))
-        pruned = redundant.prune_redundant()
-        assert pruned.n_constraints <= redundant.n_constraints
-        assert pruned.volume() == pytest.approx(1.0, abs=1e-6)
 
     def test_bounding_box(self):
         triangle = ConvexPolytope.from_halfspaces(
@@ -166,11 +119,6 @@ class TestConvexPolytope:
         lower, upper = triangle.bounding_box()
         assert np.allclose(lower, [0, 0], atol=1e-6)
         assert np.allclose(upper, [1, 1], atol=1e-6)
-
-    def test_support_direction(self):
-        box = ConvexPolytope.from_box([0, 0], [2, 1])
-        point, value = box.support([1.0, 0.0])
-        assert value == pytest.approx(2.0, abs=1e-6)
 
     def test_sampling_stays_inside(self):
         box = ConvexPolytope.from_box([0, 0], [1, 1])
@@ -183,22 +131,3 @@ class TestConvexPolytope:
         b = np.array([[1.0, 1.0], [0.5, 0.5]])
         merged = merge_vertex_sets([a, b])
         assert merged.shape[0] == 3
-
-
-class TestVolumeHelpers:
-    def test_monte_carlo_close_to_exact(self):
-        triangle = ConvexPolytope.from_halfspaces(
-            [Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], 0.0), Halfspace([1.0, 1.0], 1.0)]
-        )
-        estimate = monte_carlo_volume(triangle, n_samples=20_000, rng=0)
-        assert estimate == pytest.approx(exact_volume(triangle), rel=0.1)
-
-    def test_relative_volume(self):
-        outer = ConvexPolytope.from_box([0, 0], [1, 1])
-        inner = ConvexPolytope.from_box([0, 0], [0.5, 0.5])
-        assert relative_volume(inner, outer) == pytest.approx(0.25, abs=1e-6)
-
-    def test_relative_volume_with_empty_outer(self):
-        empty = ConvexPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-        box = ConvexPolytope.from_box([0, 0], [1, 1])
-        assert relative_volume(box, empty) == 0.0

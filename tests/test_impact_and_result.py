@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.impact import build_impact_region, impact_halfspace, impact_thresholds, is_top_ranking
+from repro.core.impact import build_impact_region, impact_thresholds, is_top_ranking
 from repro.core.toprr import make_solver, solve_toprr
 from repro.core.tas_star import TASStarSolver
 from repro.exceptions import InvalidParameterError
@@ -14,14 +14,6 @@ from repro.utils.tolerance import DEFAULT_TOL
 
 
 class TestImpactHalfspace:
-    def test_membership_matches_definition(self, figure1):
-        weight = np.array([0.5, 0.5])
-        threshold = top_k_score(figure1, weight, 3)
-        halfspace = impact_halfspace(weight, threshold)
-        # p2 scores 0.8 >= threshold, p6 scores 0.1 < threshold.
-        assert halfspace.contains(figure1.values[1])
-        assert not halfspace.contains(figure1.values[5])
-
     def test_thresholds_match_topk_scores(self, figure1, figure1_region):
         space = PreferenceSpace(2)
         vertices = figure1_region.vertices

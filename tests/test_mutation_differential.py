@@ -12,12 +12,9 @@ from-scratch engine built directly on the mutated dataset.  No schedule may
 demote a closed-form geometry body to LP/qhull: the geometry counters must
 report zero backend fallbacks, answers and oracles included.
 
-200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``).
-The sharded schedules also check the r-skyband's decomposition over option
-shards (:func:`~repro.core.sharded.sharded_r_skyband`, 1/2/4 shards, both
-strategies) byte for byte on every mutated dataset, including the
-shard-geometry edges: deleting down until shards are empty and inserting
-past the original contiguous shard bounds.
+200 schedules per dimension (d=3 and d=4, chunked for ``pytest-xdist``),
+plus two size edges the random schedules never reach: deleting down to 3
+options and growing the dataset fivefold in one insert.
 
 The module carries the ``mutation`` marker: CI runs it in the dedicated
 ``mutation-fuzz`` lane while the fast/slow lanes exclude it (a plain
@@ -29,12 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.sharded import sharded_r_skyband
 from repro.data.generators import generate_anticorrelated, generate_independent
 from repro.engine import TopRREngine
 from repro.geometry.counters import geometry_counters
 from repro.preference.random_regions import random_hypercube_region
-from repro.pruning.rskyband import r_skyband
 
 pytestmark = pytest.mark.mutation
 
@@ -69,23 +64,12 @@ def mutate_once(rng, dataset, d, max_insert=6, max_delete=4):
     return dataset.insert_options(values)
 
 
-def assert_sharded_band(dataset, k, region, n_shards, strategy, context=""):
-    """The sharded r-skyband of ``dataset`` is byte-identical to the global one."""
-    actual = sharded_r_skyband(dataset, k, region, n_shards, strategy)
-    expected = r_skyband(dataset, k, region)
-    assert actual.dtype == expected.dtype, context
-    assert actual.tobytes() == expected.tobytes(), context
-
-
-def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_event=2,
-                 shards=None):
+def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_event=2):
     """One seeded insert/delete/query schedule against a long-lived engine.
 
     After every mutation the engine answers ``queries_per_event`` queries,
     each byte-compared against a fresh :class:`TopRREngine` built on the
-    mutated dataset (the oracle never sees any maintained state).  With
-    ``shards=(n_shards, strategy)`` every queried ``(k, region)`` of a
-    mutated dataset is also put through :func:`assert_sharded_band`.
+    mutated dataset (the oracle never sees any maintained state).
     """
     before = geometry_counters.snapshot()
     rng = np.random.default_rng(seed)
@@ -116,8 +100,6 @@ def run_schedule(seed, d, n0, max_k, engine_factory, n_events=3, queries_per_eve
             context = f"seed={seed} d={d} event={event} k={k}"
             assert_bit_identical(result, oracle, context=context)
             assert result.dataset is current
-            if shards is not None:
-                assert_sharded_band(current, k, region, *shards, context=context)
     assert geometry_counters.delta(before).n_backend_fallbacks == 0, f"seed={seed} d={d}"
     return engine
 
@@ -143,27 +125,9 @@ class TestUnshardedSchedules:
                          queries_per_event=1)
 
 
-class TestShardedSchedules:
-    """The mutated datasets of seeded schedules, each filtered per option shard."""
-
-    @pytest.mark.parametrize("strategy", ["contiguous", "hash"])
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_fuzz_d3(self, n_shards, strategy):
-        for i in range(4):
-            seed = 90_000 + 100 * n_shards + 10 * len(strategy) + i
-            run_schedule(seed, d=3, n0=120, max_k=5,
-                         engine_factory=lambda ds: TopRREngine(ds, rng=0),
-                         shards=(n_shards, strategy))
-
-    def test_fuzz_d4_sharded(self):
-        run_schedule(95_001, d=4, n0=40, max_k=3,
-                     engine_factory=lambda ds: TopRREngine(ds, rng=0),
-                     queries_per_event=1, shards=(2, "hash"))
-
-
-class TestShardGeometryEdges:
-    def test_delete_to_empty_shard(self):
-        """Deleting below the shard count leaves empty shards, not failures."""
+class TestDatasetSizeEdges:
+    def test_delete_down_to_three_options(self):
+        """Deleting in chunks of up to 8 until 3 options remain."""
         dataset = generate_independent(40, 3, rng=11)
         region = random_hypercube_region(3, 0.08, rng=12)
         engine = TopRREngine(dataset, rng=0)
@@ -178,24 +142,19 @@ class TestShardGeometryEdges:
             result = engine.query(2, region)
             oracle = TopRREngine(current, rng=0).query(2, region)
             assert_bit_identical(result, oracle, context=f"n={current.n_options}")
-            for strategy in ("contiguous", "hash"):
-                assert_sharded_band(current, 2, region, 4, strategy, context=f"n={current.n_options}")
-        # 3 options across 4 shards: at least one shard is now empty.
-        assert current.n_options < 4
+        assert current.n_options == 3
 
-    def test_insert_past_shard_capacity(self):
-        """Inserts grow the contiguous bounds; stale bounds must never apply."""
+    def test_insert_grows_dataset_fivefold(self):
+        """One insert of 80 options into a dataset of 20."""
         dataset = generate_independent(20, 3, rng=21)
         region = random_hypercube_region(3, 0.08, rng=22)
         rng = np.random.default_rng(23)
         engine = TopRREngine(dataset, rng=0)
         engine.query(3, region)
-        assert_sharded_band(dataset, 3, region, 4, "contiguous")
-        # Quintuple the dataset: every original shard's row range is
-        # exceeded, so any stale position map would slice garbage.
+        # Every cached row position refers to the 20-option dataset, so a
+        # stale position map would slice garbage.
         current, delta = dataset.insert_options(rng.random((80, 3)))
         engine.apply_delta(current, delta)
         result = engine.query(3, region)
         oracle = TopRREngine(current, rng=0).query(3, region)
         assert_bit_identical(result, oracle)
-        assert_sharded_band(current, 3, region, 4, "contiguous")

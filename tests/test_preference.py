@@ -46,12 +46,6 @@ class TestPreferenceSpace:
         assert full.shape == (2, 3)
         assert np.allclose(full.sum(axis=1), 1.0)
 
-    def test_is_valid_reduced(self):
-        space = PreferenceSpace(3)
-        assert space.is_valid_reduced([0.3, 0.3])
-        assert not space.is_valid_reduced([0.8, 0.8])
-        assert not space.is_valid_reduced([-0.1, 0.2])
-
     def test_dimension_mismatch(self):
         space = PreferenceSpace(3)
         with pytest.raises(DimensionMismatchError):
@@ -64,9 +58,6 @@ class TestPreferenceSpace:
         outside = np.array([0.8, 0.8])
         assert np.all(A @ inside <= b + 1e-12)
         assert not np.all(A @ outside <= b + 1e-12)
-
-    def test_barycentre(self):
-        assert np.allclose(PreferenceSpace(4).barycentre(), [0.25, 0.25, 0.25])
 
     def test_affine_score_form_matches_full_scores(self, figure1):
         space = PreferenceSpace(2)
@@ -151,11 +142,6 @@ class TestPreferenceRegion:
         samples = table2_region.sample_weights(32, np.random.default_rng(0))
         assert all(table2_region.contains(s) for s in samples)
 
-    def test_pruned_preserves_vertices(self, table2_region):
-        extra = table2_region.intersect_halfspace(Halfspace([1.0, 0.0], 0.9))
-        pruned = extra.pruned()
-        assert pruned.n_vertices == table2_region.n_vertices
-
 
 class TestRandomRegions:
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -195,7 +181,7 @@ class TestRandomRegions:
 
     def test_centred_hypercube(self):
         region = centred_hypercube_region(3, 0.1)
-        assert region.contains(region.space.barycentre())
+        assert region.contains(np.full(2, 1.0 / 3.0))
 
     def test_determinism_with_seed(self):
         a = random_hypercube_region(4, 0.05, rng=9)

@@ -62,7 +62,7 @@ class TestScoreKernel:
 
     def test_scores_at_matches_batched_rows(self):
         working, region = random_instance(3)
-        profiles = RegionProfiles.of_region(working, region)
+        profiles = RegionProfiles.compute(working, region.vertices)
         coefficients, constants = working.active_form()
         batched = affine_scores(region.vertices, coefficients, constants)
         for i, vertex in enumerate(region.vertices):
@@ -100,7 +100,7 @@ class TestTopKOrder:
         region = PreferenceRegion.hyperrectangle([(0.3, 0.4), (0.2, 0.3)])
         working = WorkingSet.from_dataset(dataset, 6)
         legacy = region_profiles(working, region)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         for i, profile in enumerate(legacy):
             assert profile.ordered == tuple(int(x) for x in vec.ordered[i])
 
@@ -112,7 +112,7 @@ class TestVerdictParity:
     def test_orderings_and_kth(self, trial):
         working, region = random_instance(trial)
         legacy = region_profiles(working, region)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         assert len(legacy) == len(vec)
         for i, profile in enumerate(legacy):
             assert profile.ordered == tuple(int(x) for x in vec.ordered[i])
@@ -122,7 +122,7 @@ class TestVerdictParity:
     def test_kipr_lemma5_lemma7_verdicts(self, trial):
         working, region = random_instance(trial)
         legacy = region_profiles(working, region)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         k = working.k
         assert find_kipr_violation(legacy) == find_kipr_violation(vec)
         assert passes_lemma7(legacy, k) == passes_lemma7(vec, k)
@@ -130,13 +130,13 @@ class TestVerdictParity:
 
     def test_verdicts_after_lemma5_reduction(self, trial):
         working, region = random_instance(trial)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         lam, phi = vec.consistent_top_lambda(working.k)
         if lam == 0 or working.n_active - lam < 1:
             pytest.skip("Lemma 5 does not fire on this instance")
         reduced = working.without_options(phi, working.k - lam)
         legacy = region_profiles(reduced, region)
-        vec2 = RegionProfiles.of_region(reduced, region)
+        vec2 = RegionProfiles.compute(reduced, region.vertices)
         assert find_kipr_violation(legacy) == find_kipr_violation(vec2)
         for i, profile in enumerate(legacy):
             assert profile.ordered == tuple(int(x) for x in vec2.ordered[i])
@@ -144,7 +144,7 @@ class TestVerdictParity:
     def test_swap_candidates_and_rank_invariance(self, trial):
         working, region = random_instance(trial)
         legacy = region_profiles(working, region)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         legacy_pairs = [
             (c.option_a, c.option_b) for c in find_swap_candidates(working, legacy, DEFAULT_TOL)
         ]
@@ -165,7 +165,7 @@ class TestLemma5Stat:
         table2 = table2_dataset()
         region = PreferenceRegion.hyperrectangle([(0.2, 0.3), (0.1, 0.2)])
         working = WorkingSet.from_dataset(table2, 3)
-        lam, _phi = RegionProfiles.of_region(working, region).consistent_top_lambda(3)
+        lam, _phi = RegionProfiles.compute(working, region.vertices).consistent_top_lambda(3)
         assert lam == 1  # the paper's worked example
 
         stats = SolverStats()
@@ -182,7 +182,7 @@ class TestLemma5Stat:
         k = 10
         filtered = dataset.subset(r_skyband(dataset, k, region))
         working = WorkingSet.from_dataset(filtered, k)
-        lam, _phi = RegionProfiles.of_region(working, region).consistent_top_lambda(k)
+        lam, _phi = RegionProfiles.compute(working, region.vertices).consistent_top_lambda(k)
         assert lam == 0  # root top-1 sets disagree on this instance
 
         star_stats = SolverStats()
@@ -201,7 +201,7 @@ class TestLemma5Stat:
 class TestSequenceProtocol:
     def test_getitem_and_iteration(self):
         working, region = random_instance(7)
-        vec = RegionProfiles.of_region(working, region)
+        vec = RegionProfiles.compute(working, region.vertices)
         profiles = list(vec)
         assert len(profiles) == len(vec)
         first = vec[0]

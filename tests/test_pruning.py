@@ -10,7 +10,7 @@ from repro.preference.region import PreferenceRegion
 from repro.preference.space import PreferenceSpace
 from repro.pruning.base import FILTER_NAMES, apply_filter
 from repro.pruning.comparison import compare_filters
-from repro.pruning.rskyband import r_dominance_count, r_dominates, r_skyband, vertex_score_matrix
+from repro.pruning.rskyband import r_skyband, vertex_score_matrix
 from repro.pruning.utk_filter import utk_filter
 from repro.topk.query import top_k
 from repro.topk.skyband import k_skyband
@@ -57,41 +57,24 @@ class TestRSkyband:
         with pytest.raises(InvalidParameterError):
             r_skyband(dataset, 0, region)
 
-    def test_r_dominates(self, figure1):
-        region = PreferenceRegion.interval(0.2, 0.8)
-        # p2 = (0.7, 0.9) r-dominates p6 = (0.1, 0.1) everywhere.
-        assert r_dominates(figure1.values[1], figure1.values[5], region)
-        assert not r_dominates(figure1.values[5], figure1.values[1], region)
-        # p1 and p2 are incomparable on [0.2, 0.8] (p1 wins at 0.8, p2 at 0.2).
-        assert not r_dominates(figure1.values[0], figure1.values[1], region)
-        assert not r_dominates(figure1.values[1], figure1.values[0], region)
-
-    def test_r_dominates_uses_the_filter_tolerance(self):
-        # Option 1 trails option 0 by 1e-4 at every vertex: a tie under the
-        # geometry tolerance the filter uses, a strict loss under the score
-        # tolerance.  r_dominates must side with the filter.
-        tol = Tolerance(geometry=1e-3, score=1e-9)
+    def test_r_skyband_uses_the_filter_tolerance(self):
+        # Option 1 trails option 0 by 1e-4 at every vertex: a tie under a
+        # geometry tolerance of 1e-3, a strict loss under the default one.
+        # The filter compares vertex scores with ``tol.geometry``.
         region = PreferenceRegion.interval(0.2, 0.8)
         dataset = Dataset(np.array([[0.5, 0.5], [0.4999, 0.4999], [0.3, 0.3]]))
-        counts = r_dominance_count(dataset, region, cap=3, tol=tol)
-        band = set(r_skyband(dataset, 1, region, tol=tol).tolist())
-        assert not r_dominates(dataset.values[0], dataset.values[1], region, tol=tol)
-        for i in range(3):
-            dominators = sum(
-                r_dominates(dataset.values[j], dataset.values[i], region, tol=tol)
-                for j in range(3)
-                if j != i
-            )
-            assert dominators == counts[i]
-            assert (dominators < 1) == (i in band)
+        loose = Tolerance(geometry=1e-3, score=1e-9)
+        assert r_skyband(dataset, 1, region, tol=loose).tolist() == [0, 1]
+        assert r_skyband(dataset, 1, region).tolist() == [0]
 
-    def test_r_dominance_count(self, figure1):
+    def test_r_skyband_of_figure1(self, figure1):
         region = PreferenceRegion.interval(0.2, 0.8)
-        counts = r_dominance_count(figure1, region, cap=6)
-        # p6 is r-dominated by every other laptop.
-        assert counts[5] == 5
-        # The options that are top-ranked somewhere have no r-dominators.
-        assert counts[0] == 0 and counts[1] == 0
+        # p1 and p2 are incomparable on [0.2, 0.8] (p1 wins at 0.8, p2 at
+        # 0.2), so neither has an r-dominator.
+        assert {0, 1} <= set(r_skyband(figure1, 1, region).tolist())
+        # p6 = (0.1, 0.1) is r-dominated by every other laptop.
+        assert 5 not in r_skyband(figure1, 5, region)
+        assert 5 in r_skyband(figure1, 6, region)
 
 
 class TestUTKFilter:

@@ -195,10 +195,37 @@ class TestErrorMapping:
             {"k": 3, "region": {"intervals": [[0.2, 0.6]]}},      # wrong arity
             {"k": 3, "region": REGION, "method": 7},              # non-string method
             {"k": 3, "region": REGION, "dataset": "ghost"},       # unknown dataset
+            {"k": 2.5, "region": REGION},                         # fractional k
+            {"k": True, "region": REGION},                        # boolean k
+            {"k": "5", "region": REGION},                         # string k
+            {"k": 5.0, "region": REGION},                         # integral float k
         ):
             status, body = request_json(url, "POST", "/solve", payload)
             assert status == 400, payload
             assert "error" in body
+
+    @pytest.mark.parametrize("k", [2.5, True, "5", 5.0])
+    def test_batch_k_must_be_a_json_integer(self, replica, k):
+        url, _engine = replica
+        status, body = request_json(url, "POST", "/batch", {"queries": [{"k": k, "region": REGION}]})
+        assert status == 400, body
+        assert "must be an integer" in body["error"]
+
+    def test_malformed_payloads_are_400_not_500(self, replica):
+        url, _engine = replica
+        for region in (
+            {"intervals": [1, 2]},
+            {"intervals": 5},
+            {"intervals": [["a", "b"], [0.1, 0.2]]},
+            {"A": [["x"]], "b": [1]},
+            {"A": [[1, 0]], "b": [1, 2]},
+            {"intervals": [[float("nan"), 0.6], [0.1, 0.5]]},
+            {"A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [float("inf"), 0, 0.5, 0]},
+        ):
+            status, body = request_json(url, "POST", "/solve", {"k": 3, "region": region})
+            assert status == 400, (region, body)
+        status, body = request_json(url, "POST", "/mutate", {"insert": {"values": [["a"]]}})
+        assert status == 400, body
 
     def test_malformed_json_body_is_400(self, replica):
         import urllib.request

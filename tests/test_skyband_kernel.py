@@ -2,11 +2,11 @@
 
 The reference functions below are the scan the kernel replaced, kept here
 verbatim as the oracle: the one-row-at-a-time loop of ``skyband_of_values``,
-the 4096-row broadcast of ``dominance_count`` and the per-row loop of
-``refused_admission``.  The kernel must return exactly their arrays —
-including under ``eps`` near-ties, where dominance is not transitive and the
-scan's answer depends on its processing order — on inputs that cross the
-kernel's block and tile boundaries.
+the 4096-row broadcast that counted dominators in the ``cap``-skyband and
+the per-row loop of ``refused_admission``.  The kernel must return exactly
+their arrays — including under ``eps`` near-ties, where dominance is not
+transitive and the scan's answer depends on its processing order — on
+inputs that cross the kernel's block and tile boundaries.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.mutation import refused_admission
 from repro.topk import skyband
-from repro.topk.skyband import BLOCK, TILE, count_dominators, dominance_count, skyband_of_values
+from repro.topk.skyband import BLOCK, TILE, count_dominators, skyband_of_values
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
 
 
@@ -69,6 +69,11 @@ def reference_dominance_count(values: np.ndarray, cap: int, tol: Tolerance = DEF
         gt = np.any(band_values[None, :, :] > chunk[:, None, :] + eps, axis=2)
         counts[start : start + 4096] = np.minimum((geq & gt).sum(axis=1), cap)
     return counts
+
+
+def dominance_count(values: np.ndarray, cap: int) -> np.ndarray:
+    """Kernel counterpart of :func:`reference_dominance_count`."""
+    return count_dominators(values, values[skyband_of_values(values, cap)], cap)
 
 
 def reference_refused_admission(scores, band_rows, inserted_rows, k, tol=DEFAULT_TOL):

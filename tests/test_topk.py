@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
-from repro.topk.onion import k_onion_layers, onion_layer_assignment
+from repro.topk.onion import k_onion_layers
 from repro.topk.query import rank_of, top_k, top_k_from_scores, top_k_score
-from repro.topk.scoring import linear_scores, linear_scores_many, score_difference_affine
-from repro.topk.skyband import dominance_count, k_skyband, skyband_of_values, skyline
+from repro.topk.scoring import linear_scores
+from repro.topk.skyband import count_dominators, k_skyband, skyband_of_values
 from repro.utils.tolerance import DEFAULT_TOL
 
 
@@ -19,22 +19,9 @@ class TestScoring:
         scores = linear_scores(figure1.values, [0.5, 0.5])
         assert scores[1] == pytest.approx(0.8)  # p2 = (0.7, 0.9)
 
-    def test_linear_scores_many(self, figure1):
-        matrix = linear_scores_many(figure1.values, np.array([[1.0, 0.0], [0.5, 0.5]]))
-        assert matrix.shape == (6, 2)
-
     def test_dimension_mismatch(self, figure1):
         with pytest.raises(DimensionMismatchError):
             linear_scores(figure1.values, [1.0, 0.0, 0.0])
-
-    def test_score_difference_affine_matches_direct_computation(self, figure1):
-        p1, p2 = figure1.values[0], figure1.values[1]
-        coeff, const = score_difference_affine(p1, p2)
-        for w1 in (0.2, 0.5, 0.8):
-            full = np.array([w1, 1 - w1])
-            direct = full @ p1 - full @ p2
-            affine = coeff @ np.array([w1]) + const
-            assert affine == pytest.approx(direct)
 
 
 class TestTopK:
@@ -43,7 +30,6 @@ class TestTopK:
         result = top_k(figure1, [0.5, 0.5], 3)
         assert [figure1.id_of(i) for i in result.indices] == ["p2", "p1", "p4"]
         assert result.threshold == pytest.approx(0.55)
-        assert result.kth_index == 3
 
     def test_top_k_score(self, figure1):
         assert top_k_score(figure1, [0.5, 0.5], 1) == pytest.approx(0.8)
@@ -96,7 +82,7 @@ class TestRankOf:
 class TestSkyband:
     def test_skyline_of_figure1(self, figure1):
         # p1 (0.9, 0.4) and p2 (0.7, 0.9) are not dominated; the rest are.
-        assert [figure1.id_of(i) for i in skyline(figure1)] == ["p1", "p2"]
+        assert [figure1.id_of(i) for i in k_skyband(figure1, 1)] == ["p1", "p2"]
 
     def test_two_skyband_of_figure1(self, figure1):
         # p3 = (0.6, 0.2) is dominated by both p1 and p2, so it drops out of
@@ -122,7 +108,7 @@ class TestSkyband:
 
     def test_dominance_count_caps(self):
         values = np.array([[0.9, 0.9], [0.5, 0.5], [0.4, 0.4], [0.1, 0.1]])
-        counts = dominance_count(values, cap=2)
+        counts = count_dominators(values, values, cap=2)
         assert counts.tolist() == [0, 1, 2, 2]
 
     def test_skyband_invalid_k(self, figure1):
@@ -172,8 +158,9 @@ def test_skyband_kernel_matches_brute_force(kind, n, d, k, seed):
 
     brute = _brute_force_dominator_counts(values, eps)
     expected = set(np.flatnonzero(brute < k).tolist())
-    band = set(skyband_of_values(values, k).tolist())
-    counts = dominance_count(values, cap=k)
+    kept = skyband_of_values(values, k)
+    band = set(kept.tolist())
+    counts = count_dominators(values, values[kept], k)
     if kind == "perturbed":
         assert expected <= band
         # Counting against a subset of the options never overcounts.
@@ -207,11 +194,3 @@ class TestOnion:
     def test_invalid_k(self, unit_square_dataset):
         with pytest.raises(InvalidParameterError):
             k_onion_layers(unit_square_dataset, 0)
-
-    def test_layer_assignment_covers_all_options(self, unit_square_dataset):
-        layers = onion_layer_assignment(unit_square_dataset)
-        assert np.all(layers >= 1)
-
-    def test_layer_assignment_respects_max_layers(self, small_ind_dataset):
-        layers = onion_layer_assignment(small_ind_dataset, max_layers=1)
-        assert set(np.unique(layers)).issubset({0, 1})

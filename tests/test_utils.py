@@ -5,16 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionMismatchError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 from repro.utils.tolerance import DEFAULT_TOL, Tolerance
-from repro.utils.validation import (
-    as_matrix,
-    as_point,
-    check_in_unit_interval,
-    check_positive_int,
-)
+from repro.utils.validation import check_positive_int
 
 
 class TestTolerance:
@@ -25,16 +20,6 @@ class TestTolerance:
         assert DEFAULT_TOL.is_zero(0.0)
         assert DEFAULT_TOL.is_zero(DEFAULT_TOL.geometry / 2)
         assert not DEFAULT_TOL.is_zero(1e-3)
-
-    def test_sign_predicates_are_strict(self):
-        assert DEFAULT_TOL.is_positive(1e-3)
-        assert not DEFAULT_TOL.is_positive(DEFAULT_TOL.geometry / 2)
-        assert DEFAULT_TOL.is_negative(-1e-3)
-        assert not DEFAULT_TOL.is_negative(-DEFAULT_TOL.geometry / 2)
-
-    def test_scores_equal(self):
-        assert DEFAULT_TOL.scores_equal(0.5, 0.5 + DEFAULT_TOL.score / 2)
-        assert not DEFAULT_TOL.scores_equal(0.5, 0.6)
 
     def test_custom_tolerance_is_frozen(self):
         tol = Tolerance(geometry=1e-6)
@@ -75,24 +60,6 @@ class TestEnsureRng:
 
 
 class TestValidation:
-    def test_as_point_accepts_lists(self):
-        point = as_point([1.0, 2.0], dimension=2)
-        assert point.shape == (2,)
-
-    def test_as_point_rejects_wrong_dimension(self):
-        with pytest.raises(DimensionMismatchError):
-            as_point([1.0, 2.0, 3.0], dimension=2)
-
-    def test_as_point_rejects_nan(self):
-        with pytest.raises(InvalidParameterError):
-            as_point([1.0, float("nan")], dimension=2)
-
-    def test_as_matrix_checks_columns(self):
-        matrix = as_matrix([[1.0, 2.0], [3.0, 4.0]], dimension=2)
-        assert matrix.shape == (2, 2)
-        with pytest.raises(DimensionMismatchError):
-            as_matrix([[1.0, 2.0]], dimension=3)
-
     def test_check_positive_int(self):
         assert check_positive_int(5, "k") == 5
         with pytest.raises(InvalidParameterError):
@@ -101,8 +68,3 @@ class TestValidation:
             check_positive_int(2.5, "k")  # type: ignore[arg-type]
         with pytest.raises(InvalidParameterError):
             check_positive_int(True, "k")  # type: ignore[arg-type]
-
-    def test_check_in_unit_interval(self):
-        assert check_in_unit_interval(0.5, "sigma") == 0.5
-        with pytest.raises(InvalidParameterError):
-            check_in_unit_interval(1.5, "sigma")
